@@ -198,8 +198,6 @@ parseSpecFlag(const std::string &arg,
             fatal("--deadline must be >= 0");
     } else if (arg == "--tag") {
         spec.tag = next();
-    } else if (arg == "--opp-grid") {
-        spec.oppGrid = true;
     } else {
         return false;
     }
@@ -222,10 +220,7 @@ const char kSpecFlagsHelp[] =
     "  --jobs N             campaign worker threads; 0 = all cores\n"
     "  --max-points N       truncate the campaign (0 = all points)\n"
     "  --deadline SECONDS   wall-clock budget (0 = unlimited)\n"
-    "  --tag STR            label echoed in daemon logs\n"
-    "  --opp-grid           batched base runs for OPP sweeps (one\n"
-    "                       instruction stream feeds every config;\n"
-    "                       byte-identical results, faster)\n";
+    "  --tag STR            label echoed in daemon logs\n";
 
 /** `gemstone_tool campaign`: one-shot run -> dataset CSV. */
 int

@@ -60,23 +60,6 @@ G5Simulation::baseRun(const workload::Workload &work, G5Model model)
     return slot;
 }
 
-void
-G5Simulation::installBaseRun(const workload::Workload &work,
-                             G5Model model,
-                             const uarch::RunResult &run)
-{
-    std::string key = modelTag(model) + ":" + work.name;
-    std::shared_ptr<BaseRunSlot> slot;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        std::shared_ptr<BaseRunSlot> &entry = runCache[key];
-        if (!entry)
-            entry = std::make_shared<BaseRunSlot>();
-        slot = entry;
-    }
-    std::call_once(slot->once, [&] { slot->run = run; });
-}
-
 G5Stats
 G5Simulation::run(const workload::Workload &work, G5Model model,
                   double freq_mhz)

@@ -82,18 +82,6 @@ class G5Simulation
     /** Clear the run cache. */
     void clearCache();
 
-    /**
-     * Install an externally computed base-frequency run for
-     * (workload, model) — the batched-sweep fill path (see
-     * OdroidXu3Platform::installBaseRun). Filled under the slot's
-     * once-flag, so racing with a lazy run() is safe; a no-op when
-     * the slot is already computed. The run must be bit-identical to
-     * what a fresh ClusterModel on ex5Config(model, version) would
-     * produce at 1.0 GHz.
-     */
-    void installBaseRun(const workload::Workload &work, G5Model model,
-                        const uarch::RunResult &run);
-
   private:
     /** One cache slot (see OdroidXu3Platform::BaseRunSlot). */
     struct BaseRunSlot

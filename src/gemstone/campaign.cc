@@ -778,40 +778,21 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
     // and run() rethrows deterministically on failure.
     exec::TaskGraph graph;
 
-    // Batched base runs: one node per distinct workload computes
-    // both 1.0 GHz base runs (hw shape + g5 twin) from a single
-    // batched execution; every hw/g5 node of that workload waits on
-    // it, so the lazy per-cache fills always find a warm slot. The
-    // caches install under once-flags, making the gating purely a
-    // scheduling optimisation — results are byte-identical with the
-    // flag off, on, or racing.
-    std::map<const workload::Workload *, exec::TaskGraph::NodeId>
-        batchNodes;
-    if (campaignConfig.batchedBaseRuns) {
-        for (std::size_t i = 0; i < count; ++i) {
-            const PointTask &task = tasks[i];
-            if (task.resumed != nullptr ||
-                batchNodes.count(task.work)) {
-                continue;
-            }
-            batchNodes[task.work] = graph.add(
-                "batch:" + task.work->name, [this, &task, cluster] {
-                    experimentRunner.prewarmBatchedBaseRuns(
-                        *task.work, cluster);
-                });
-        }
-    }
-    auto batchDeps =
-        [&](const PointTask &task) -> std::vector<exec::TaskGraph::NodeId> {
-        auto it = batchNodes.find(task.work);
-        if (it == batchNodes.end())
-            return {};
-        return {it->second};
-    };
+    // The first measured point of each workload computes its two
+    // 1.0 GHz base runs (hardware shape and g5 twin); the hw and g5
+    // nodes of the workload's later points depend on it, so they
+    // retime filled slots instead of blocking pool threads on the
+    // once-flags. The once-flags stay the correctness guard: the
+    // edge only orders the work (DESIGN.md §10).
+    std::vector<exec::TaskGraph::NodeId> hw_base, g5_base;
 
     for (std::size_t i = 0; i < count; ++i) {
         const PointTask &task = tasks[i];
         const std::string label = pointKey(task.work->name, task.freq);
+        if (i > 0 && tasks[i - 1].work != task.work) {
+            hw_base.clear();
+            g5_base.clear();
+        }
         if (task.resumed != nullptr) {
             // Restored from the checkpoint: never re-measured; only
             // a converged point needs its g5 twin re-simulated.
@@ -868,7 +849,7 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
                 measurePoint(*task.work, cluster, task.freq, point,
                              records[i], pointWarnings[i]);
             },
-            batchDeps(task));
+            hw_base);
         exec::TaskGraph::NodeId g5_node = graph.add(
             "g5:" + label, [this, &task, &records, cluster, i] {
                 // Unconditional: a non-converged point's record is
@@ -878,7 +859,11 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
                 records[i].g5 = experimentRunner.runG5(
                     *task.work, cluster, task.freq);
             },
-            batchDeps(task));
+            g5_base);
+        if (hw_base.empty()) {
+            hw_base = {hw_node};
+            g5_base = {g5_node};
+        }
         finalNode[i] = graph.add(
             "collate:" + label,
             [this, &points, &checkpoint, i, count] {

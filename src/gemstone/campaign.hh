@@ -129,18 +129,6 @@ struct CampaignConfig
     exec::ProcPool::Config workerPool;
 
     /**
-     * Compute each workload's two 1.0 GHz base runs (hardware shape
-     * + g5 twin) from ONE batched execution of its instruction
-     * stream (uarch::BatchedSystemModel) instead of two independent
-     * full runs. The campaign graph gains one batch node per
-     * workload that every hw/g5 node of that workload depends on.
-     * Results are byte-identical either way (the batched engine's
-     * bit-identity contract), so this is purely a speed knob —
-     * off by default to keep the historical execution shape.
-     */
-    bool batchedBaseRuns = false;
-
-    /**
      * Cooperative cancellation (e.g. from a SIGINT/SIGTERM handler,
      * see util/signals.hh). Once cancelled, no new point starts,
      * in-flight points abort at their poll sites, the checkpoint

@@ -3,10 +3,10 @@
  * ExperimentRunner implementation.
  *
  * The experiment loops run through the execution engine (src/exec/):
- * each (workload, frequency) point becomes a small task pipeline and
- * the results are gathered by point index, so the collated dataset
- * is bit-identical at any thread count. With jobs == 1 and no result
- * store attached, the historical serial loop runs unchanged.
+ * each (workload, frequency) point becomes a task graph node (two for
+ * validation: hardware and g5) and the results are gathered by point
+ * index, so the collated dataset is bit-identical at any thread
+ * count. jobs == 1 runs the same graph inline through runSerial().
  */
 
 #include "gemstone/runner.hh"
@@ -166,42 +166,6 @@ ExperimentRunner::modelFor(hwsim::CpuCluster cluster)
     return cluster == hwsim::CpuCluster::LittleA7
         ? g5::G5Model::Ex5Little
         : g5::G5Model::Ex5Big;
-}
-
-void
-ExperimentRunner::prewarmBatchedBaseRuns(
-    const workload::Workload &work, hwsim::CpuCluster cluster)
-{
-    // Both 1.0 GHz base runs a validation point ever needs — the
-    // hardware cluster shape and its g5 twin — computed from ONE
-    // architectural execution of the workload: the two configs share
-    // the functional surface (same memBytes/quantum/numCores), so
-    // they batch into one driver pass with two timing lanes. The
-    // results are bit-identical to the lazy per-cache fills, which
-    // is why installing them is invisible to every consumer.
-    std::uint64_t mem_bytes =
-        std::max<std::uint64_t>(work.memBytes, 64 * 1024);
-    g5::G5Model model = modelFor(cluster);
-
-    uarch::ClusterConfig hw_config =
-        cluster == hwsim::CpuCluster::LittleA7
-        ? hwsim::trueLittleConfig()
-        : hwsim::trueBigConfig();
-    hw_config.memBytes = mem_bytes;
-    uarch::ClusterConfig g5_config =
-        g5::ex5Config(model, runnerConfig.g5Version);
-    g5_config.memBytes = mem_bytes;
-
-    std::vector<uarch::BatchPoint> points = {{hw_config, 1.0},
-                                             {g5_config, 1.0}};
-    uarch::BatchedSystemModel &batched =
-        hwsim::pooledBatchedModel(points);
-    work.prepareMemory(batched.memory());
-    thread_local std::vector<uarch::RunResult> results;
-    batched.runInto(work.program, work.numThreads, results);
-
-    board->installBaseRun(work, cluster, results[0]);
-    sim->installBaseRun(work, model, results[1]);
 }
 
 void
@@ -385,29 +349,7 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     if (runnerConfig.workers > 1 && !store)
         attachResultStore(std::make_shared<exec::ResultStore>());
 
-    g5::G5Model model = modelFor(cluster);
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    if (runnerConfig.jobs <= 1 && !store) {
-        // The historical serial loop, kept verbatim: measure() tracks
-        // retry attempts in the platform's shared per-point counter,
-        // which the concurrent path replaces with explicit attempts.
-        CoopScope scope(runnerConfig.cancel, deadline, "validation");
-        for (const workload::Workload *work :
-             workload::Suite::validationSet()) {
-            for (double freq : freqs_mhz) {
-                ValidationRecord record;
-                record.work = work;
-                record.cluster = cluster;
-                record.freqMhz = freq;
-                record.hw = board->measure(*work, cluster, freq,
-                                           runnerConfig.repeats);
-                record.g5 = sim->run(*work, model, freq);
-                dataset.records.push_back(std::move(record));
-            }
-        }
-        return dataset;
-    }
-
     struct PointSpec
     {
         const workload::Workload *work;
@@ -433,25 +375,41 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     // storage outlives any in-flight node.
     std::vector<ValidationRecord> records(specs.size());
     exec::TaskGraph graph;
+    // The first point of each workload computes its two 1.0 GHz base
+    // runs; the same-kind nodes of its other points depend on it and
+    // retime the filled slots instead of blocking on their once-flags
+    // (DESIGN.md §10).
+    std::vector<exec::TaskGraph::NodeId> hw_base, g5_base;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const PointSpec &spec = specs[i];
-        graph.add("hw:" + spec.work->name,
-                  [this, &records, spec, cluster, i, deadline] {
-                      CoopScope scope(runnerConfig.cancel, deadline,
-                                      "validation");
-                      records[i].work = spec.work;
-                      records[i].cluster = cluster;
-                      records[i].freqMhz = spec.freq;
-                      records[i].hw = measureHw(*spec.work, cluster,
-                                                spec.freq, 0);
-                  });
-        graph.add("g5:" + spec.work->name,
-                  [this, &records, spec, cluster, i, deadline] {
-                      CoopScope scope(runnerConfig.cancel, deadline,
-                                      "validation");
-                      records[i].g5 =
-                          runG5(*spec.work, cluster, spec.freq);
-                  });
+        if (i > 0 && specs[i - 1].work != spec.work) {
+            hw_base.clear();
+            g5_base.clear();
+        }
+        exec::TaskGraph::NodeId hw = graph.add(
+            "hw:" + spec.work->name,
+            [this, &records, spec, cluster, i, deadline] {
+                CoopScope scope(runnerConfig.cancel, deadline,
+                                "validation");
+                records[i].work = spec.work;
+                records[i].cluster = cluster;
+                records[i].freqMhz = spec.freq;
+                records[i].hw =
+                    measureHw(*spec.work, cluster, spec.freq, 0);
+            },
+            hw_base);
+        exec::TaskGraph::NodeId g5 = graph.add(
+            "g5:" + spec.work->name,
+            [this, &records, spec, cluster, i, deadline] {
+                CoopScope scope(runnerConfig.cancel, deadline,
+                                "validation");
+                records[i].g5 = runG5(*spec.work, cluster, spec.freq);
+            },
+            g5_base);
+        if (hw_base.empty()) {
+            hw_base = {hw};
+            g5_base = {g5};
+        }
     }
     if (runnerConfig.jobs <= 1) {
         graph.runSerial(runnerConfig.cancel);
@@ -471,21 +429,6 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
         attachResultStore(std::make_shared<exec::ResultStore>());
 
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    if (runnerConfig.jobs <= 1 && !store) {
-        CoopScope scope(runnerConfig.cancel, deadline, "power");
-        std::vector<powmon::PowerObservation> observations;
-        for (const workload::Workload &work :
-             workload::Suite::all()) {
-            for (double freq : frequenciesFor(cluster)) {
-                powmon::PowerObservation obs;
-                obs.measurement = board->measure(
-                    work, cluster, freq, runnerConfig.repeats);
-                observations.push_back(std::move(obs));
-            }
-        }
-        return observations;
-    }
-
     struct PointSpec
     {
         const workload::Workload *work;
@@ -507,15 +450,22 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
 
     std::vector<powmon::PowerObservation> observations(specs.size());
     exec::TaskGraph graph;
+    // First-point base-run edge, as in runValidation().
+    std::vector<exec::TaskGraph::NodeId> hw_base;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const PointSpec &spec = specs[i];
-        graph.add("hw:" + spec.work->name,
-                  [this, &observations, spec, cluster, i, deadline] {
-                      CoopScope scope(runnerConfig.cancel, deadline,
-                                      "power");
-                      observations[i].measurement = measureHw(
-                          *spec.work, cluster, spec.freq, 0);
-                  });
+        if (i > 0 && specs[i - 1].work != spec.work)
+            hw_base.clear();
+        exec::TaskGraph::NodeId hw = graph.add(
+            "hw:" + spec.work->name,
+            [this, &observations, spec, cluster, i, deadline] {
+                CoopScope scope(runnerConfig.cancel, deadline, "power");
+                observations[i].measurement =
+                    measureHw(*spec.work, cluster, spec.freq, 0);
+            },
+            hw_base);
+        if (hw_base.empty())
+            hw_base = {hw};
     }
     if (runnerConfig.jobs <= 1) {
         graph.runSerial(runnerConfig.cancel);

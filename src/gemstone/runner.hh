@@ -33,10 +33,10 @@ struct RunnerConfig
      */
     double boardVariation = 0.0;
     /**
-     * Worker threads for the experiment loops. 1 keeps the exact
-     * historical serial execution; results are bit-identical at any
-     * value (points are gathered by index and every measurement is a
-     * pure function of its identity).
+     * Worker threads for the experiment loops. 1 runs the task
+     * graph inline; results are bit-identical at any value (points
+     * are gathered by index and every measurement is attempt 0 of
+     * its point, a pure function of its identity).
      */
     unsigned jobs = 1;
     /**
@@ -127,18 +127,6 @@ class ExperimentRunner
     /** One g5 simulation, memoised like measureHw(). */
     g5::G5Stats runG5(const workload::Workload &work,
                       hwsim::CpuCluster cluster, double freq_mhz);
-
-    /**
-     * Fill both 1.0 GHz base-run caches for (workload, cluster) —
-     * the hardware platform's and the g5 simulator's — from one
-     * batched execution of the workload's instruction stream
-     * (uarch::BatchedSystemModel with two timing lanes), instead of
-     * two independent full runs. Results are bit-identical to the
-     * lazy fills; racing with them is safe (the caches install under
-     * once-flags). Used by campaigns with batched base runs enabled.
-     */
-    void prewarmBatchedBaseRuns(const workload::Workload &work,
-                                hwsim::CpuCluster cluster);
 
     hwsim::OdroidXu3Platform &platform() { return *board; }
     g5::G5Simulation &simulator() { return *sim; }

@@ -6,7 +6,6 @@
 #include "hwsim/platform.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "mlstat/descriptive.hh"
@@ -301,37 +300,6 @@ pooledModel(CpuCluster cluster, std::uint64_t mem_bytes)
 
 } // namespace
 
-uarch::BatchedSystemModel &
-pooledBatchedModel(const std::vector<uarch::BatchPoint> &points)
-{
-    struct PoolEntry
-    {
-        std::string key;
-        std::unique_ptr<uarch::BatchedSystemModel> model;
-    };
-    thread_local std::vector<PoolEntry> pool;
-    // The batch shape IS the key: per-point exhaustive config
-    // signature plus the frequency slot, in point order.
-    std::string key;
-    for (const uarch::BatchPoint &p : points) {
-        key += uarch::clusterConfigSignature(p.config);
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "@%a;", p.freqGhz);
-        key += buf;
-    }
-    for (PoolEntry &entry : pool) {
-        if (entry.key == key) {
-            entry.model->reset();
-            entry.model->memory().clear();
-            return *entry.model;
-        }
-    }
-    pool.push_back({std::move(key),
-                    std::make_unique<uarch::BatchedSystemModel>(
-                        points, &threadArena())});
-    return *pool.back().model;
-}
-
 OdroidXu3Platform::OdroidXu3Platform(std::uint64_t seed,
                                      double board_variation)
     : masterRng(seed),
@@ -397,23 +365,6 @@ OdroidXu3Platform::baseRun(const workload::Workload &work,
         model.runInto(work.program, work.numThreads, 1.0, slot->run);
     });
     return slot;
-}
-
-void
-OdroidXu3Platform::installBaseRun(const workload::Workload &work,
-                                  CpuCluster cluster,
-                                  const uarch::RunResult &run)
-{
-    std::string key = clusterTag(cluster) + ":" + work.name;
-    std::shared_ptr<BaseRunSlot> slot;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        std::shared_ptr<BaseRunSlot> &entry = runCache[key];
-        if (!entry)
-            entry = std::make_shared<BaseRunSlot>();
-        slot = entry;
-    }
-    std::call_once(slot->once, [&] { slot->run = run; });
 }
 
 HwMeasurement

@@ -31,7 +31,6 @@
 #include "hwsim/faults.hh"
 #include "hwsim/pmu.hh"
 #include "hwsim/power.hh"
-#include "uarch/batch.hh"
 #include "uarch/system.hh"
 #include "workload/workload.hh"
 
@@ -55,21 +54,6 @@ uarch::ClusterConfig trueBigConfig();
 
 /** The true micro-architecture of the Cortex-A7 cluster. */
 uarch::ClusterConfig trueLittleConfig();
-
-/**
- * Thread-local pool of warm batched models, the multi-config
- * counterpart of the internal single-config model pool: one
- * BatchedSystemModel per distinct batch shape (point list) per
- * thread, reused through reset() + memory().clear() with
- * bit-identical fresh-model results and zero steady-state heap
- * allocations. Tables are carved from the thread's arena. Note the
- * batched engine has no Reference variant — its results are
- * parity-gated against the standalone fast engine (which is itself
- * gated against the reference interpreter), so the engine override
- * does not apply.
- */
-uarch::BatchedSystemModel &pooledBatchedModel(
-    const std::vector<uarch::BatchPoint> &points);
 
 /** One measured observation of a workload on the platform. */
 struct HwMeasurement
@@ -198,21 +182,6 @@ class OdroidXu3Platform
 
     /** Clear the run cache (frees workload memory). */
     void clearCache();
-
-    /**
-     * Install an externally computed base-frequency run for
-     * (workload, cluster) — the batched-sweep fill path: a
-     * BatchedSystemModel computes the 1.0 GHz base run together with
-     * other configs' runs, then hands it to the cache here. The slot
-     * is filled under the same once-flag as the lazy path, so a
-     * concurrent lazy computation and an install agree on a single
-     * run; installing into an already computed slot is a no-op. The
-     * supplied run must be bit-identical to what baseRun() would
-     * compute (the batched engine's contract).
-     */
-    void installBaseRun(const workload::Workload &work,
-                        CpuCluster cluster,
-                        const uarch::RunResult &run);
 
   private:
     /**

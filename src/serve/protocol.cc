@@ -66,7 +66,6 @@ encodeCampaignSpec(const CampaignSpec &spec)
         w.f64(freq);
     w.str(spec.tag);
     w.u8(spec.durable ? 1 : 0);
-    w.u8(spec.oppGrid ? 1 : 0);
     return w.take();
 }
 
@@ -96,7 +95,6 @@ decodeCampaignSpec(const std::string &payload, CampaignSpec &out)
         out.freqsMhz.push_back(r.f64());
     out.tag = r.str();
     out.durable = r.u8() != 0;
-    out.oppGrid = r.u8() != 0;
     return r.done();
 }
 

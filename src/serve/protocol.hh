@@ -28,9 +28,10 @@ namespace gemstone::serve {
 /** Protocol revision; bumped on any incompatible payload change.
  *  v2: CampaignSpec::durable, resume tokens in Accepted,
  *  Attach/Resumed frames.
- *  v3: CampaignSpec::oppGrid (batched base runs), predecode-cache
- *  counters in DaemonStats. */
-inline constexpr std::uint32_t kProtocolVersion = 3;
+ *  v3: CampaignSpec OPP-grid flag (batched base runs), predecode-cache
+ *  counters in DaemonStats.
+ *  v4: the OPP-grid flag byte removed with the batched engine. */
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /** Why a submit or attach was refused. */
 enum class RejectReason : std::uint8_t
@@ -88,13 +89,6 @@ struct CampaignSpec
      * re-submit).
      */
     bool durable = false;
-    /**
-     * OPP-grid request: the campaign computes each workload's base
-     * runs with the batched multi-config engine
-     * (CampaignConfig::batchedBaseRuns). Results are byte-identical
-     * either way; this is a speed knob for frequency sweeps.
-     */
-    bool oppGrid = false;
 };
 
 std::string encodeCampaignSpec(const CampaignSpec &spec);

@@ -29,7 +29,6 @@ campaignConfigFor(const CampaignSpec &spec)
     config.maxAttempts = spec.maxAttempts;
     config.jobs = spec.jobs;
     config.maxPoints = spec.maxPoints;
-    config.batchedBaseRuns = spec.oppGrid;
     return config;
 }
 

@@ -411,10 +411,9 @@ CoreModel::runQuantumFast(std::uint64_t max_insts)
                                  : gbp->predict(pc, binfo);
             }
 
-            // Functional execution through the shared dispatch switch
-            // (isa/dispatch.hh) — the identical route the batched
-            // multi-config driver takes, so the two engines' functional
-            // streams cannot disagree.
+            // Functional execution through the inlined dispatch switch
+            // (isa/dispatch.hh): the same handler functions d.fn
+            // points at, without the indirect call.
             isa::OpOutcome out;
             out.nextPc = pc + 1;
             isa::dispatchUop(d, cpuState, env, out);

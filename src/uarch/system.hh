@@ -120,9 +120,6 @@ class ClusterModel
         return coreModels;
     }
 
-    /** Mutable core access (the batched engine drives cores directly). */
-    CoreModel &core(unsigned i) { return *coreModels[i]; }
-
     /**
      * Select the execution engine for every core. Takes effect at the
      * next run(); results are bit-identical either way.

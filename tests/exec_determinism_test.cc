@@ -3,7 +3,8 @@
  * Determinism of the parallel campaign engine: the collated output
  * must be byte-identical to the serial flow at any thread count —
  * under fault injection, across kill/resume, and with a warm result
- * store.
+ * store. The campaigns sweep two DVFS points, so every workload's
+ * second point depends on the first (the base-run edge).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,8 @@ using namespace gemstone::core;
 
 namespace {
 
-constexpr double kFreq = 1000.0;
+/** Two A15 DVFS points: the second depends on the first. */
+const std::vector<double> kFreqs = {1000.0, 1400.0};
 
 /** Unique scratch path, removed on destruction. */
 struct ScratchFile
@@ -44,7 +47,7 @@ CampaignResult
 faultedCampaign(unsigned jobs,
                 std::shared_ptr<exec::ResultStore> store = nullptr,
                 const std::string &checkpoint_path = {},
-                std::size_t max_points = 0, bool batched = false)
+                std::size_t max_points = 0)
 {
     ExperimentRunner runner{RunnerConfig{}};
     runner.platform().injectFaults(hwsim::FaultConfig::labMix());
@@ -54,21 +57,8 @@ faultedCampaign(unsigned jobs,
     policy.jobs = jobs;
     policy.checkpointPath = checkpoint_path;
     policy.maxPoints = max_points;
-    policy.batchedBaseRuns = batched;
     CampaignEngine engine(runner, policy);
-    return engine.runValidation(hwsim::CpuCluster::BigA15, {kFreq});
-}
-
-/** An unfaulted (clean-lab) campaign, optionally batched. */
-CampaignResult
-cleanCampaign(unsigned jobs, bool batched)
-{
-    ExperimentRunner runner{RunnerConfig{}};
-    CampaignConfig policy;
-    policy.jobs = jobs;
-    policy.batchedBaseRuns = batched;
-    CampaignEngine engine(runner, policy);
-    return engine.runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    return engine.runValidation(hwsim::CpuCluster::BigA15, kFreqs);
 }
 
 /**
@@ -93,7 +83,7 @@ pooledCampaign(unsigned workers, double crash_prob = 0.0,
         policy.workerPool.maxRespawns =
             static_cast<unsigned>(max_respawns);
     CampaignEngine engine(runner, policy);
-    return engine.runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    return engine.runValidation(hwsim::CpuCluster::BigA15, kFreqs);
 }
 
 /** Worker counts to exercise: the CI matrix pins one via env. */
@@ -141,6 +131,26 @@ expectIdentical(const CampaignResult &expected,
     }
 }
 
+/** Every measured value of a power characterisation, exactly. */
+std::vector<std::string>
+renderObservations(const std::vector<powmon::PowerObservation> &obs)
+{
+    std::vector<std::string> rows;
+    for (const powmon::PowerObservation &o : obs) {
+        const hwsim::HwMeasurement &m = o.measurement;
+        std::ostringstream out;
+        out << std::hexfloat << m.workload << ',' << m.freqMhz << ','
+            << m.execSeconds << ',' << m.powerWatts << ','
+            << m.temperatureC << ',' << m.throttled;
+        for (double seconds : m.repeatSeconds)
+            out << ",r" << seconds;
+        for (const auto &[id, count] : m.pmc)
+            out << ",p" << id << '=' << count;
+        rows.push_back(out.str());
+    }
+    return rows;
+}
+
 } // namespace
 
 TEST(ExecDeterminism, FaultedCampaignIsByteIdenticalAcrossThreads)
@@ -158,22 +168,24 @@ TEST(ExecDeterminism, FaultedCampaignIsByteIdenticalAcrossThreads)
 
 TEST(ExecDeterminism, KillAndResumeMatchesAtAnyThreadCount)
 {
-    // Reference: serial campaign killed after 10 points, then
-    // resumed serially to completion.
+    // Reference: serial campaign killed after 11 points, then
+    // resumed serially to completion. The kill splits the sixth
+    // workload, so its resumed first point leaves the base run to
+    // its second point.
     ScratchFile serial_ckpt("gs_exec_det_serial.csv");
     CampaignResult serial_partial =
-        faultedCampaign(1, nullptr, serial_ckpt.path, 10);
+        faultedCampaign(1, nullptr, serial_ckpt.path, 11);
     ASSERT_FALSE(serial_partial.complete);
     CampaignResult serial_full =
         faultedCampaign(1, nullptr, serial_ckpt.path);
-    ASSERT_EQ(serial_full.resumedPoints, 10u);
+    ASSERT_EQ(serial_full.resumedPoints, 11u);
 
     // The same kill/resume flow at 4 threads must reproduce it
     // byte for byte, even though the parallel checkpoint's rows
     // landed in completion order.
     ScratchFile parallel_ckpt("gs_exec_det_parallel.csv");
     CampaignResult parallel_partial =
-        faultedCampaign(4, nullptr, parallel_ckpt.path, 10);
+        faultedCampaign(4, nullptr, parallel_ckpt.path, 11);
     expectIdentical(serial_partial, parallel_partial,
                     "partial campaign");
     CampaignResult parallel_full =
@@ -202,56 +214,30 @@ TEST(ExecDeterminism, WarmResultStoreReplaysByteIdentically)
     expectIdentical(cold, warm_parallel, "warm parallel");
 }
 
-TEST(ExecDeterminism, BatchedBaseRunsAreByteIdenticalUnderFaults)
+TEST(ExecDeterminism, ReusedFaultedRunnerIsJobsIndependent)
 {
-    // The batched engine computes both 1.0 GHz base runs per
-    // workload from one instruction stream; the campaign-visible
-    // output must not move by a byte, at any thread count, with the
-    // fault mix biting.
-    CampaignResult serial = faultedCampaign(1);
-    ASSERT_GT(serial.totalFailures + serial.totalRejected, 0u);
-
-    for (unsigned jobs : {1u, 4u}) {
-        CampaignResult batched = faultedCampaign(
-            jobs, nullptr, {}, 0, /*batched=*/true);
-        expectIdentical(serial, batched,
-                        ("batched jobs=" + std::to_string(jobs))
-                            .c_str());
-    }
-}
-
-TEST(ExecDeterminism, BatchedBaseRunsAreByteIdenticalUnfaulted)
-{
-    CampaignResult plain = cleanCampaign(1, /*batched=*/false);
-    for (unsigned jobs : {1u, 4u}) {
-        CampaignResult batched = cleanCampaign(jobs, /*batched=*/true);
-        expectIdentical(plain, batched,
-                        ("clean batched jobs=" + std::to_string(jobs))
-                            .c_str());
-    }
-}
-
-TEST(ExecDeterminism, BatchedKillAndResumeMatchesUnbatched)
-{
-    // Interrupted-then-resumed with batched base runs on both legs
-    // must reproduce the serial unbatched kill/resume byte for byte.
-    ScratchFile plain_ckpt("gs_exec_det_plain.csv");
-    CampaignResult plain_partial =
-        faultedCampaign(1, nullptr, plain_ckpt.path, 10);
-    ASSERT_FALSE(plain_partial.complete);
-    CampaignResult plain_full =
-        faultedCampaign(1, nullptr, plain_ckpt.path);
-    ASSERT_EQ(plain_full.resumedPoints, 10u);
-
-    ScratchFile batched_ckpt("gs_exec_det_batched.csv");
-    CampaignResult batched_partial = faultedCampaign(
-        4, nullptr, batched_ckpt.path, 10, /*batched=*/true);
-    expectIdentical(plain_partial, batched_partial,
-                    "batched partial campaign");
-    CampaignResult batched_full = faultedCampaign(
-        4, nullptr, batched_ckpt.path, 0, /*batched=*/true);
-    expectIdentical(plain_full, batched_full,
-                    "batched resumed campaign");
+    // One faulted runner measures the A15 1 GHz points twice: in a
+    // validation campaign, then in the power characterisation. Each
+    // measurement is attempt 0 of its point at any thread count, so
+    // the second campaign's observations cannot depend on jobs.
+    // (Run failures stay off: they would abort the runner's loops.)
+    auto characterise = [](unsigned jobs) {
+        RunnerConfig config;
+        config.jobs = jobs;
+        ExperimentRunner runner{config};
+        hwsim::FaultConfig faults = hwsim::FaultConfig::labMix();
+        faults.runFailureProb = 0.0;
+        runner.platform().injectFaults(faults);
+        runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
+        return renderObservations(runner.runPowerCharacterisation(
+            hwsim::CpuCluster::BigA15));
+    };
+    const std::vector<std::string> serial = characterise(1);
+    const std::vector<std::string> parallel = characterise(4);
+    ASSERT_FALSE(serial.empty());
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        ASSERT_EQ(serial[i], parallel[i]) << "observation " << i;
 }
 
 #if defined(__unix__) || defined(__APPLE__)

@@ -501,3 +501,54 @@ TEST(ExecFastpathReuse, WarmQuantumLoopMakesZeroHeapAllocations)
     EXPECT_EQ(after.bytes - before.bytes, 0u);
     EXPECT_GT(result.instructions, 0u);
 }
+
+TEST(ExecFastpathReuse, ArenaResetAcrossDifferentConfigsIsBitIdentical)
+{
+    // A reset arena must re-carve every table (including the cache
+    // probe hints and the TLB last-translation entries) bit-identically
+    // to fresh construction, even when the next tenant has a
+    // different shape.
+    Workload work = workload::kernels::makeDhrystone("t-arena-dhry",
+                                                     "test", 4000);
+    const std::uint64_t mem =
+        std::max<std::uint64_t>(work.memBytes, 64 * 1024);
+    uarch::ClusterConfig config_a = hwsim::trueBigConfig();
+    config_a.memBytes = mem;
+    uarch::ClusterConfig config_b = hwsim::trueLittleConfig();
+    config_b.memBytes = mem;
+
+    std::vector<uarch::RunResult> expected;
+    for (const uarch::ClusterConfig *config : {&config_a, &config_b}) {
+        uarch::ClusterModel standalone(*config);
+        work.prepareMemory(standalone.memory());
+        expected.push_back(
+            standalone.run(work.program, work.numThreads, 1.0));
+    }
+
+    // One arena, alternating tenants of different shapes: dirty the
+    // arena with config A, rewind, hand it to config B (and back).
+    // Any table whose initial bytes depend on what the previous
+    // tenant left behind breaks the identity.
+    Arena arena(1 << 20);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("arena round " + std::to_string(round));
+        {
+            uarch::ClusterModel model_a(config_a, &arena);
+            work.prepareMemory(model_a.memory());
+            expectRunsIdentical(
+                expected[0],
+                model_a.run(work.program, work.numThreads, 1.0),
+                "config A");
+        }
+        arena.reset();
+        {
+            uarch::ClusterModel model_b(config_b, &arena);
+            work.prepareMemory(model_b.memory());
+            expectRunsIdentical(
+                expected[1],
+                model_b.run(work.program, work.numThreads, 1.0),
+                "config B");
+        }
+        arena.reset();
+    }
+}

@@ -544,10 +544,25 @@ TEST(ServeDurableTest, UnfinishedJournalIsReadmittedAtBoot)
     ASSERT_TRUE(
         serve::saveRequestJournal(journal_dir.path, journal).ok());
 
+    // A sibling journal left by a protocol v3 daemon: its spec no
+    // longer decodes, so boot drops it with a warning instead of
+    // re-admitting it (or reloading it forever).
+    serve::RequestJournal stale = journal;
+    stale.requestId = 8;
+    stale.token = serve::makeResumeToken(8);
+    exec::WireWriter v3_header;
+    v3_header.u32(3);
+    stale.specBytes = v3_header.take() + journal.specBytes.substr(4) +
+                      std::string(1, '\1');
+    ASSERT_TRUE(
+        serve::saveRequestJournal(journal_dir.path, stale).ok());
+
     DaemonFixture daemon;
     daemon.config.journalDir = journal_dir.path;
     daemon.start();
     EXPECT_EQ(daemon.server->statsSnapshot().requestsRecovered, 1u);
+    EXPECT_FALSE(std::filesystem::exists(
+        serve::journalPath(journal_dir.path, stale.token)));
 
     // The recovered campaign runs with no client at all; a late
     // attach under the original token gets the full stream.

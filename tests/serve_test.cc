@@ -292,21 +292,17 @@ TEST(ServeTest, ConcurrentClientsByteIdenticalToOneShot)
 
 TEST(ServeTest, BatchedSubmitDemuxesPerSpecByteIdentically)
 {
-    // Three OPP-grid specs pipelined over ONE connection, plus one
-    // invalid spec wedged into the middle: the in-order admission
-    // mapping must bind the rejection to the right slot, and every
-    // accepted spec's daemon-served bytes must equal a plain (non
-    // OPP-grid) one-shot run of the same campaign — the batched
-    // engine's bit-identity contract, end to end through the wire.
+    // Three specs pipelined over ONE connection, plus one invalid
+    // spec wedged into the middle: the in-order admission mapping
+    // must bind the rejection to the right slot, and every accepted
+    // spec's daemon-served bytes must equal a one-shot run of the
+    // same campaign.
     std::vector<serve::CampaignSpec> specs;
     std::vector<std::string> expected;
     for (int i = 0; i < 3; ++i) {
-        serve::CampaignSpec plain = smallSpec(300 + i);
-        expected.push_back(referenceCsv(plain));
+        specs.push_back(smallSpec(300 + i));
+        expected.push_back(referenceCsv(specs.back()));
         ASSERT_FALSE(expected.back().empty());
-        serve::CampaignSpec submitted = plain;
-        submitted.oppGrid = true;
-        specs.push_back(submitted);
     }
     serve::CampaignSpec bad = smallSpec(999);
     bad.quorum = 0;
@@ -713,6 +709,22 @@ TEST(ServeTest, ProtocolRoundTripsSurviveEncoding)
     EXPECT_EQ(decoded_spec.freqsMhz, spec.freqsMhz);
     EXPECT_EQ(decoded_spec.tag, spec.tag);
     EXPECT_EQ(decoded_spec.deadlineSeconds, spec.deadlineSeconds);
+
+    // Truncation never decodes, and neither does a spec from another
+    // protocol revision: a v3 spec (version header 3, trailing
+    // OPP-grid flag byte) is refused, not misread.
+    std::string spec_bytes = serve::encodeCampaignSpec(spec);
+    exec::WireWriter v3_header;
+    v3_header.u32(3);
+    std::vector<std::string> rejected_specs = {
+        v3_header.take() + spec_bytes.substr(4) + std::string(1, '\1')};
+    for (std::size_t cut = 0; cut < spec_bytes.size(); ++cut)
+        rejected_specs.push_back(spec_bytes.substr(0, cut));
+    for (const std::string &bytes : rejected_specs) {
+        serve::CampaignSpec partial;
+        EXPECT_FALSE(serve::decodeCampaignSpec(bytes, partial))
+            << "spec of " << bytes.size() << " bytes decoded";
+    }
 
     serve::Summary summary;
     summary.requestId = 9;
