@@ -160,41 +160,6 @@ main(int argc, char **argv)
               << stats.insertions << " insertions, "
               << stats.evictions << " evictions\n";
 
-    // Multi-process prewarm: fork a worker pool, shard the cold work
-    // across it, replay warm. Crash isolation costs pipes and process
-    // spawns, so this row exists to keep the overhead honest next to
-    // the in-process thread scaling above.
-    printBanner(std::cout,
-                "Cold runs (process pool prewarm + warm replay)");
-    TextTable pool({"workers", "seconds", "points/sec", "speedup",
-                    "identical"});
-    for (unsigned workers : {2u, 4u}) {
-        core::RunnerConfig config;
-        config.workers = workers;
-        core::ExperimentRunner runner(config);
-
-        auto start = std::chrono::steady_clock::now();
-        core::ValidationDataset dataset =
-            runner.runValidation(hwsim::CpuCluster::BigA15, kFreqs);
-        auto stop = std::chrono::steady_clock::now();
-
-        Timed run;
-        run.seconds =
-            std::chrono::duration<double>(stop - start).count();
-        run.points = dataset.records.size();
-        run.csv = dataset.toCsv();
-        if (run.csv != serial_cold.csv)
-            fatal("workers=", workers,
-                  " diverged from the serial run");
-        pool.addRow({std::to_string(workers),
-                     formatDouble(run.seconds, 3), pointsPerSec(run),
-                     formatRatio(serial_cold.seconds / run.seconds),
-                     "yes"});
-        addRow("procpool", std::to_string(workers), run,
-               serial_cold.seconds / run.seconds);
-    }
-    pool.print(std::cout);
-
     json.write(out_path);
     std::cout << "wrote " << out_path << "\n";
     return 0;

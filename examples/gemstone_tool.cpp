@@ -10,7 +10,7 @@
  * Usage:
  *   gemstone_tool [--cluster a15|a7] [--g5-version 1|2]
  *                 [--freq MHZ] [--no-power] [--out DIR]
- *                 [--jobs N] [--workers N] [--cache PATH]
+ *                 [--jobs N] [--cache PATH]
  *                 [--cache-capacity N] [--deadline SECONDS]
  *
  * Two subcommands front the campaign service (src/serve/):
@@ -68,22 +68,10 @@ usage()
         "all cores\n"
         "                     (default 1; results are identical at "
         "any N)\n"
-        "  --workers N        crash-isolated worker processes "
-        "prewarming the\n"
-        "                     result store; 0 means all cores "
-        "(default 1:\n"
-        "                     in-process only; results are identical "
-        "at any N)\n"
         "  --cache PATH       result-store CSV: reuse results from "
         "PATH if it\n"
         "                     exists, save the updated store back on "
-        "exit.\n"
-        "                     With --workers > 1 the file becomes a "
-        "shared\n"
-        "                     cache tier: concurrent tools share it "
-        "live under\n"
-        "                     file locking instead of load/save "
-        "snapshots\n"
+        "exit\n"
         "  --cache-capacity N in-memory LRU bound of the result "
         "store\n"
         "                     (default 65536 entries)\n"
@@ -111,18 +99,6 @@ saveStore(const std::shared_ptr<exec::ResultStore> &store,
     if (!store)
         return;
     exec::ResultStore::Stats stats = store->stats();
-    if (store->hasSharedTier()) {
-        // Every insert was already published to the shared tier
-        // under its file lock; rewriting the file here would race
-        // concurrent tools for no benefit.
-        std::cout << "shared result cache " << cache_path << ": "
-                  << store->size() << " entries (" << stats.hits
-                  << " hits, " << stats.sharedHits
-                  << " from other processes, " << stats.misses
-                  << " misses, " << stats.insertions << " new, "
-                  << stats.evictions << " evicted)\n";
-        return;
-    }
     Status saved = store->saveCsv(cache_path);
     if (!saved.ok())
         warn("could not save result store to ", cache_path, ": ",
@@ -836,13 +812,6 @@ main(int argc, char **argv)
             runner_config.jobs =
                 jobs == 0 ? exec::ThreadPool::defaultThreadCount()
                           : static_cast<unsigned>(jobs);
-        } else if (arg == "--workers") {
-            int workers = std::stoi(next());
-            if (workers < 0)
-                fatal("--workers must be >= 0");
-            runner_config.workers = workers == 0
-                ? exec::ThreadPool::defaultThreadCount()
-                : static_cast<unsigned>(workers);
         } else if (arg == "--cache") {
             cache_path = next();
         } else if (arg == "--cache-capacity") {
@@ -870,26 +839,10 @@ main(int argc, char **argv)
     std::shared_ptr<exec::ResultStore> store;
     if (!cache_path.empty()) {
         store = std::make_shared<exec::ResultStore>(cache_capacity);
-        if (runner_config.workers > 1) {
-            // Multi-process runs share the cache file live: each
-            // insert is published under the file lock, and misses
-            // absorb what concurrent tools have published.
-            Status attached = store->attachSharedTier(cache_path);
-            if (!attached.ok()) {
-                fatal("cannot attach shared result cache ",
-                      cache_path, ": ", attached.toString());
-            }
-            if (store->size() > 0)
-                std::cout << "attached shared result cache "
-                          << cache_path << " (" << store->size()
-                          << " entries)\n";
-        } else {
-            std::size_t loaded = store->loadCsv(cache_path);
-            if (loaded > 0)
-                std::cout << "loaded " << loaded
-                          << " cached results from " << cache_path
-                          << "\n";
-        }
+        std::size_t loaded = store->loadCsv(cache_path);
+        if (loaded > 0)
+            std::cout << "loaded " << loaded << " cached results from "
+                      << cache_path << "\n";
         runner.attachResultStore(store);
     }
 

@@ -51,8 +51,7 @@ usage()
         "results\n"
         "                       persist across restarts and are "
         "shared with\n"
-        "                       concurrent gemstone_tool --workers "
-        "runs\n"
+        "                       concurrent daemons on the same file\n"
         "  --heartbeat SECONDS  progress heartbeat period "
         "(default 1.0)\n"
         "  --journal DIR        durable-request journal directory: "

@@ -5,8 +5,6 @@
 
 #include "exec/resultstore.hh"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -111,7 +109,7 @@ ResultStore::absorbLocked(const std::string &key, Fields fields)
 {
     // Absorbed entries are other processes' finished work, not ours:
     // keep the insertions counter meaning "results computed by this
-    // process" and keep them out of the journal.
+    // process".
     const std::uint64_t insertions_before = counters.insertions;
     insertLocked(key, std::move(fields));
     counters.insertions = insertions_before;
@@ -121,10 +119,7 @@ void
 ResultStore::insert(const std::string &key, Fields fields)
 {
     std::lock_guard<std::mutex> lock(storeMutex);
-    if (journalEnabled)
-        journal.emplace_back(key, fields);
-    if (tier != nullptr &&
-        tierOwnerPid == static_cast<int>(::getpid())) {
+    if (tier != nullptr) {
         tier->publish(key, fields,
                       [this](const std::string &k, Fields f) {
                           absorbLocked(k, std::move(f));
@@ -254,7 +249,6 @@ ResultStore::attachSharedTier(const std::string &path)
         return opened.status();
     std::lock_guard<std::mutex> lock(storeMutex);
     tier = opened.takeValue();
-    tierOwnerPid = static_cast<int>(::getpid());
     // Start warm: absorb everything already in the file.
     tier->refresh([this](const std::string &k, Fields f) {
         absorbLocked(k, std::move(f));
@@ -267,24 +261,6 @@ ResultStore::hasSharedTier() const
 {
     std::lock_guard<std::mutex> lock(storeMutex);
     return tier != nullptr;
-}
-
-void
-ResultStore::enableJournal()
-{
-    std::lock_guard<std::mutex> lock(storeMutex);
-    journalEnabled = true;
-    journal.clear();
-}
-
-std::vector<std::pair<std::string, ResultStore::Fields>>
-ResultStore::takeJournal()
-{
-    std::lock_guard<std::mutex> lock(storeMutex);
-    journalEnabled = false;
-    auto drained = std::move(journal);
-    journal.clear();
-    return drained;
 }
 
 } // namespace gemstone::exec

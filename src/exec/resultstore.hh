@@ -114,13 +114,6 @@ class ResultStore
      * behind. Entries already in the file are absorbed immediately;
      * later misses absorb whatever other processes have published
      * (see lookup()); inserts are published to the file.
-     *
-     * Only the attaching process publishes. A forked child inherits
-     * the attachment and keeps reading the tier (with its own lock
-     * identity), but its inserts stay local — results flow back to
-     * the attaching coordinator, which publishes them. That keeps
-     * crash-prone worker processes out of the writer set, so a
-     * SIGKILLed worker can never tear the shared file.
      */
     Status attachSharedTier(const std::string &path);
 
@@ -128,17 +121,6 @@ class ResultStore
 
     /** The attached tier (for its stats), or nullptr. */
     const SharedTierFile *sharedTier() const { return tier.get(); }
-
-    /**
-     * Start recording keys inserted by *this process* (absorbed and
-     * loaded entries excluded). A forked worker journals what it
-     * computed so exactly those entries travel back over the pipe.
-     */
-    void enableJournal();
-
-    /** Drain the journal recorded since enableJournal() and stop
-     *  recording until the next enableJournal(). */
-    std::vector<std::pair<std::string, Fields>> takeJournal();
 
   private:
     struct Entry
@@ -150,7 +132,7 @@ class ResultStore
 
     void insertLocked(const std::string &key, Fields fields);
 
-    /** Tier-absorb sink: insert without counting or journalling. */
+    /** Tier-absorb sink: insert without counting. */
     void absorbLocked(const std::string &key, Fields fields);
 
     mutable std::mutex storeMutex;
@@ -161,11 +143,6 @@ class ResultStore
     Stats counters;
 
     std::unique_ptr<SharedTierFile> tier;
-    /** Pid that attached the tier — the only publisher. */
-    int tierOwnerPid = -1;
-
-    bool journalEnabled = false;
-    std::vector<std::pair<std::string, Fields>> journal;
 };
 
 } // namespace gemstone::exec

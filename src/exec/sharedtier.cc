@@ -118,7 +118,6 @@ SharedTierFile::open(const std::string &path)
     std::unique_ptr<SharedTierFile> tier(new SharedTierFile());
     tier->filePath = path;
     tier->fd = fd;
-    tier->ownerPid = static_cast<int>(::getpid());
 
     // Seed an empty file with the header so the tier is loadable as
     // an ordinary ResultStore CSV. Racing creators both take the
@@ -159,29 +158,6 @@ SharedTierFile::unlock()
 {
     while (::flock(fd, LOCK_UN) != 0 && errno == EINTR) {
     }
-}
-
-bool
-SharedTierFile::reopenIfForked()
-{
-    int pid = static_cast<int>(::getpid());
-    if (pid == ownerPid)
-        return true;
-    // flock identity lives on the open file description, which
-    // fork() shares: re-open so this process locks independently of
-    // its parent.
-    int fresh =
-        ::open(filePath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-    if (fresh < 0) {
-        warnLimited("sharedtier-reopen", 3, "shared tier ", filePath,
-                    ": reopen after fork failed (",
-                    std::strerror(errno), ")");
-        return false;
-    }
-    ::close(fd);
-    fd = fresh;
-    ownerPid = pid;
-    return true;
 }
 
 bool
@@ -287,7 +263,6 @@ SharedTierFile::absorbNewLocked(const Sink &sink)
 std::size_t
 SharedTierFile::refresh(const Sink &sink)
 {
-    reopenIfForked();
     std::uint64_t before = tierStats.absorbed;
     bool locked = lock(false);
     absorbNewLocked(sink);
@@ -300,7 +275,6 @@ bool
 SharedTierFile::publish(const std::string &key, const Fields &fields,
                         const Sink &sink)
 {
-    reopenIfForked();
     bool locked = lock(true);
     // Absorb first: a key another process published since our last
     // look must win over a duplicate append.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared persistent result-cache tier for multi-process campaigns.
+ * Shared persistent result-cache tier for stores in separate processes.
  *
  * A SharedTierFile is an append-only CSV of result-store entries
  * (`key,field,value` rows, doubles rendered round-trip-exact) that
@@ -8,7 +8,7 @@
  * by flock(2):
  *
  *  - publish() takes the exclusive lock, first absorbs any rows other
- *    processes appended since the last look (so cross-worker results
+ *    processes appended since the last look (so cross-process results
  *    become local cache hits), skips the write when the key is
  *    already present (no duplicated rows), and otherwise appends the
  *    whole entry — every field row — inside the one lock hold (no
@@ -24,12 +24,9 @@
  * persists with saveCsv(), so a tier file is also loadable as an
  * ordinary warm-cache CSV.
  *
- * Fork safety: flock locks belong to the open file description,
- * which fork() shares between parent and child — a shared fd would
- * make their "exclusive" locks mutually invisible. Every operation
- * therefore re-opens the file when it notices the pid changed, so a
- * ResultStore inherited by a forked procpool worker transparently
- * gets its own lock identity.
+ * flock locks belong to the open file description, so each process
+ * opens the file itself: a descriptor a forked child inherited would
+ * make parent and child locks mutually invisible.
  */
 
 #ifndef GEMSTONE_EXEC_SHAREDTIER_HH
@@ -97,9 +94,6 @@ class SharedTierFile
   private:
     SharedTierFile() = default;
 
-    /** Re-open after fork so flock identities stay per-process. */
-    bool reopenIfForked();
-
     /** Under a held lock: scan [consumed, EOF) into @p sink. */
     void absorbNewLocked(const Sink &sink);
 
@@ -112,7 +106,6 @@ class SharedTierFile
     /** FNV-1a hashes of keys known to be in the file. */
     std::unordered_set<std::uint64_t> knownKeys;
     Stats tierStats;
-    int ownerPid = -1;
 };
 
 } // namespace gemstone::exec

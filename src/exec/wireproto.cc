@@ -202,42 +202,4 @@ writeFrame(int fd, FrameType type, const std::string &payload)
     return writeAll(fd, encodeFrame(type, payload));
 }
 
-bool
-readFrame(int fd, Frame &out)
-{
-#ifdef GEMSTONE_HAVE_UNISTD
-    auto read_exact = [fd](char *into, std::size_t count) {
-        std::size_t got = 0;
-        while (got < count) {
-            ssize_t n = ::read(fd, into + got, count - got);
-            if (n == 0)
-                return false;  // EOF: peer closed
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            got += static_cast<std::size_t>(n);
-        }
-        return true;
-    };
-    char prefix[4];
-    if (!read_exact(prefix, 4))
-        return false;
-    std::uint32_t length = readLe32(prefix);
-    if (length == 0 || length > kMaxFramePayload + 1)
-        return false;
-    std::string body(length, '\0');
-    if (!read_exact(body.data(), length))
-        return false;
-    out.type = static_cast<FrameType>(body[0]);
-    out.payload.assign(body, 1, length - 1);
-    return true;
-#else
-    (void)fd;
-    (void)out;
-    return false;
-#endif
-}
-
 } // namespace gemstone::exec

@@ -1,20 +1,18 @@
 /**
  * @file
- * Length-prefixed binary framing for coordinator <-> worker pipes.
+ * Length-prefixed binary framing for the campaign service's sockets.
  *
- * The process pool (exec/procpool.hh) speaks a small binary protocol
- * over anonymous pipes: every message is one frame — a 32-bit
- * little-endian payload length, a one-byte frame type, then the
- * payload. Frames are self-delimiting, so the coordinator can feed
- * arbitrary read() chunks into a FrameDecoder and pull out complete
- * frames as they form; a worker, which owns its pipe end exclusively
- * and blocks anyway, reads frames with the simpler readFrame().
+ * gemstoned and its clients (src/serve/) exchange frames over stream
+ * sockets: every message is one frame — a 32-bit little-endian
+ * payload length, a one-byte frame type, then the payload. Frames are
+ * self-delimiting, so a reader can feed arbitrary read() chunks into
+ * a FrameDecoder and pull out complete frames as they form.
  *
  * Payloads are built and parsed with WireWriter/WireReader:
  * fixed-width little-endian integers, length-prefixed strings, and
  * doubles shipped as their raw IEEE-754 bits — the transfer is
- * bit-exact by construction, which is what lets worker-computed
- * results feed the repo's byte-identity contract.
+ * bit-exact by construction, which is what lets streamed results
+ * feed the repo's byte-identity contract.
  *
  * A length prefix larger than kMaxFramePayload marks the stream as
  * corrupt (a desynchronised or hostile peer); the decoder latches the
@@ -31,21 +29,13 @@
 namespace gemstone::exec {
 
 /**
- * Frame types of the procpool protocol (1-6) and the gemstoned
- * campaign-service protocol (16+, see src/serve/). Both speak the
- * same framing; the decoder never validates the type byte, so a
+ * Frame types of the gemstoned campaign-service protocol (see
+ * src/serve/). The decoder never validates the type byte, so a
  * receiver must treat an unexpected value as a protocol error, not
  * trust it (serve does — daemon input is untrusted).
  */
 enum class FrameType : std::uint8_t
 {
-    Hello = 1,      //!< worker -> coordinator: alive and idle
-    Task = 2,       //!< coordinator -> worker: execute a task
-    Result = 3,     //!< worker -> coordinator: task finished
-    TaskFailed = 4, //!< worker -> coordinator: task threw
-    Heartbeat = 5,  //!< worker -> coordinator: still making progress
-    Shutdown = 6,   //!< coordinator -> worker: drain and exit
-
     // serve/: client -> daemon requests.
     SubmitCampaign = 16, //!< submit a campaign spec
     CancelRequest = 17,  //!< cancel a previously submitted request
@@ -68,7 +58,7 @@ enum class FrameType : std::uint8_t
 /** One decoded frame. */
 struct Frame
 {
-    FrameType type = FrameType::Hello;
+    FrameType type = FrameType::ProtocolError;
     std::string payload;
 };
 
@@ -164,12 +154,6 @@ bool writeAll(int fd, const std::string &data);
 
 /** writeAll() of one encoded frame. */
 bool writeFrame(int fd, FrameType type, const std::string &payload);
-
-/**
- * Blocking read of one complete frame (worker side, which owns the
- * read end exclusively). Returns false on EOF, error or corruption.
- */
-bool readFrame(int fd, Frame &out);
 
 } // namespace gemstone::exec
 

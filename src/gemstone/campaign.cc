@@ -5,9 +5,6 @@
 
 #include "gemstone/campaign.hh"
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -638,129 +635,6 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
         }
         if (truncated)
             break;
-    }
-
-    // Prewarm phase: shard the cold work across crash-isolated
-    // worker processes. Each worker measures its points through the
-    // runner's memoisation layer and ships the computed store entries
-    // back; the replay below then runs fully warm, so the collated
-    // output is byte-identical to the workerless campaign (a warm
-    // store replays bit-exactly — the pool carries no correctness
-    // burden). Any point the pool fails to finish is simply
-    // recomputed in-process during the replay. Forking happens here,
-    // while the process is still single-threaded: the ThreadPool, if
-    // any, spins up only after the pool is gone.
-    if (campaignConfig.workers > 1 && !tasks.empty() &&
-        !campaignConfig.cancel.cancelled()) {
-        if (experimentRunner.resultStore() == nullptr) {
-            experimentRunner.attachResultStore(
-                std::make_shared<exec::ResultStore>());
-        }
-        std::shared_ptr<exec::ResultStore> store =
-            experimentRunner.resultStore();
-
-        std::map<std::string, const workload::Workload *> byName;
-        std::vector<std::string> payloads;
-        for (const PointTask &task : tasks) {
-            byName[task.work->name] = task.work;
-            if (task.resumed == nullptr) {
-                // Fresh point: full measurement plus its g5 twin.
-                payloads.push_back("point|" + task.work->name + "|" +
-                                   formatExactDouble(task.freq));
-            } else if (task.resumed->converged()) {
-                // Resumed converged point: the replay only re-runs
-                // its g5 twin; a non-converged resumed point runs
-                // nothing at all.
-                payloads.push_back("g5|" + task.work->name + "|" +
-                                   formatExactDouble(task.freq));
-            }
-        }
-
-        auto body = [this, &byName, cluster, store](
-                        const std::string &payload,
-                        unsigned dispatch) -> std::string {
-            std::vector<std::string> parts = split(payload, '|');
-            if (parts.size() != 3) {
-                throw std::runtime_error("malformed prewarm task: " +
-                                         payload);
-            }
-            auto found = byName.find(parts[1]);
-            if (found == byName.end()) {
-                throw std::runtime_error(
-                    "unknown prewarm workload: " + parts[1]);
-            }
-            const workload::Workload &work = *found->second;
-            // formatExactDouble round-trips, so the worker measures
-            // the bit-identical frequency the replay will look up.
-            double freq = std::strtod(parts[2].c_str(), nullptr);
-
-            // The worker_crash fault mode: die exactly as an
-            // OOM-killed or segfaulted worker would, before any
-            // result escapes. First dispatch only — the re-dispatch
-            // runs clean — and never in the in-process fallback.
-            if (dispatch == 0 && exec::ProcPool::insideWorker() &&
-                experimentRunner.platform().faults().workerCrashPlanned(
-                    work.name, hwsim::clusterTag(cluster), freq)) {
-                ::kill(::getpid(), SIGKILL);
-            }
-
-            store->enableJournal();
-            if (parts[0] == "point") {
-                CampaignPoint point;
-                point.workload = work.name;
-                point.cluster = cluster;
-                point.freqMhz = freq;
-                ValidationRecord record;
-                std::vector<std::string> warnings;
-                measurePoint(work, cluster, freq, point, record,
-                             warnings);
-                experimentRunner.runG5(work, cluster, freq);
-            } else {
-                experimentRunner.runG5(work, cluster, freq);
-            }
-            return exec::encodeStoreEntries(store->takeJournal());
-        };
-
-        if (!payloads.empty()) {
-            exec::ProcPool::Config pool_config =
-                campaignConfig.workerPool;
-            pool_config.workers = campaignConfig.workers;
-            pool_config.cancel = campaignConfig.cancel;
-            exec::ProcPool pool(pool_config, body);
-            std::vector<exec::ProcPool::TaskResult> outcomes =
-                pool.runAll(payloads);
-            result.poolStats = pool.stats();
-            for (std::size_t t = 0; t < outcomes.size(); ++t) {
-                if (!outcomes[t].completed) {
-                    if (!outcomes[t].error.empty()) {
-                        warnLimited("prewarm-task", 3,
-                                    "campaign prewarm task ",
-                                    payloads[t], " failed: ",
-                                    outcomes[t].error);
-                    }
-                    continue;  // the replay recomputes it
-                }
-                std::vector<
-                    std::pair<std::string, exec::ResultStore::Fields>>
-                    entries;
-                if (!exec::decodeStoreEntries(outcomes[t].payload,
-                                              entries)) {
-                    warnLimited("prewarm-decode", 3,
-                                "undecodable prewarm payload for ",
-                                payloads[t], "; recomputing");
-                    continue;
-                }
-                for (auto &entry : entries)
-                    store->insert(entry.first,
-                                  std::move(entry.second));
-            }
-            inform("campaign prewarm: ", pool.stats().tasksCompleted,
-                   " of ", payloads.size(), " tasks in ",
-                   campaignConfig.workers, " workers (",
-                   pool.stats().tasksFallback, " in-process, ",
-                   pool.stats().workerDeaths, " worker deaths, ",
-                   pool.stats().respawns, " respawns)");
-        }
     }
 
     const std::size_t count = tasks.size();

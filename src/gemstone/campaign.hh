@@ -53,7 +53,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/procpool.hh"
 #include "gemstone/dataset.hh"
 #include "gemstone/runner.hh"
 #include "util/cancellation.hh"
@@ -103,30 +102,6 @@ struct CampaignConfig
      * resume keys rows by point, not position.
      */
     unsigned jobs = 1;
-
-    /**
-     * Crash-isolated worker *processes* prewarming the result store
-     * before the campaign replays (0 or 1 disables). The pool shards
-     * the campaign's points across forked workers; each worker
-     * measures its points through the runner's memoisation layer and
-     * ships the computed store entries back over a pipe. The campaign
-     * then runs exactly as without workers — but fully warm, so the
-     * collated output is byte-identical at any worker count. A worker
-     * that crashes, hangs or is killed only costs its in-flight
-     * point, which is re-dispatched (or recomputed in-process during
-     * the replay); losing every worker degrades to plain in-process
-     * execution. Requires a result store on the runner; one is
-     * attached automatically if absent. See exec/procpool.hh and
-     * DESIGN.md §14.
-     */
-    unsigned workers = 0;
-
-    /**
-     * Supervision tuning for the prewarm pool (heartbeats, deadlines,
-     * respawn budget, chaos harness). The workers and cancel fields
-     * are overridden from this config.
-     */
-    exec::ProcPool::Config workerPool;
 
     /**
      * Cooperative cancellation (e.g. from a SIGINT/SIGTERM handler,
@@ -236,9 +211,6 @@ struct CampaignResult
 
     /** Structured warnings for excluded or checkpoint problems. */
     std::vector<std::string> warnings;
-
-    /** Prewarm pool supervision accounting (workers >= 2 only). */
-    exec::ProcPool::Stats poolStats;
 
     /** False when maxPoints or cancellation stopped the campaign. */
     bool complete = true;

@@ -11,14 +11,9 @@
 
 #include "gemstone/runner.hh"
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <cstdlib>
 #include <map>
 #include <string>
 
-#include "exec/procpool.hh"
 #include "exec/taskgraph.hh"
 #include "exec/threadpool.hh"
 #include "util/logging.hh"
@@ -266,75 +261,6 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster)
     return runValidation(cluster, frequenciesFor(cluster));
 }
 
-void
-ExperimentRunner::prewarmStore(hwsim::CpuCluster cluster,
-                               const std::vector<PrewarmSpec> &specs,
-                               const Deadline &deadline)
-{
-    if (!store || specs.empty() || runnerConfig.workers <= 1 ||
-        runnerConfig.cancel.cancelled() || deadline.expired()) {
-        return;
-    }
-    std::map<std::string, const workload::Workload *> byName;
-    std::vector<std::string> payloads;
-    for (const PrewarmSpec &spec : specs) {
-        byName[spec.work->name] = spec.work;
-        payloads.push_back(std::string(spec.withG5 ? "point" : "hw") +
-                           "|" + spec.work->name + "|" +
-                           formatExactDouble(spec.freq));
-    }
-
-    auto body = [this, &byName, cluster](
-                    const std::string &payload,
-                    unsigned dispatch) -> std::string {
-        std::vector<std::string> parts = split(payload, '|');
-        if (parts.size() != 3) {
-            throw std::runtime_error("malformed prewarm task: " +
-                                     payload);
-        }
-        const workload::Workload &work = *byName.at(parts[1]);
-        double freq = std::strtod(parts[2].c_str(), nullptr);
-        if (dispatch == 0 && exec::ProcPool::insideWorker() &&
-            board->faults().workerCrashPlanned(
-                work.name, hwsim::clusterTag(cluster), freq)) {
-            ::kill(::getpid(), SIGKILL);
-        }
-        store->enableJournal();
-        try {
-            measureHw(work, cluster, freq, 0);
-            if (parts[0] == "point")
-                runG5(work, cluster, freq);
-        } catch (const hwsim::RunError &) {
-            // An injected attempt-0 failure is deterministic: the
-            // experiment loop will replay the identical failure, so
-            // there is nothing to cache and nothing to retry here.
-        }
-        return exec::encodeStoreEntries(store->takeJournal());
-    };
-
-    exec::ProcPool::Config pool_config;
-    pool_config.workers = runnerConfig.workers;
-    pool_config.cancel = runnerConfig.cancel;
-    pool_config.deadline = deadline;
-    exec::ProcPool pool(pool_config, body);
-    std::vector<exec::ProcPool::TaskResult> outcomes =
-        pool.runAll(payloads);
-    for (std::size_t t = 0; t < outcomes.size(); ++t) {
-        if (!outcomes[t].completed)
-            continue;  // the experiment loop recomputes it
-        std::vector<std::pair<std::string, exec::ResultStore::Fields>>
-            entries;
-        if (exec::decodeStoreEntries(outcomes[t].payload, entries)) {
-            for (auto &entry : entries)
-                store->insert(entry.first, std::move(entry.second));
-        }
-    }
-    inform("runner prewarm: ", pool.stats().tasksCompleted, " of ",
-           payloads.size(), " tasks in ", runnerConfig.workers,
-           " workers (", pool.stats().workerDeaths,
-           " worker deaths)");
-}
-
 ValidationDataset
 ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
                                 const std::vector<double> &freqs_mhz)
@@ -343,11 +269,6 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     dataset.cluster = cluster;
     dataset.g5Version = runnerConfig.g5Version;
     dataset.freqsMhz = freqs_mhz;
-
-    // Worker processes replay through the memoisation layer, so a
-    // prewarmed run needs a store even if the caller attached none.
-    if (runnerConfig.workers > 1 && !store)
-        attachResultStore(std::make_shared<exec::ResultStore>());
 
     const Deadline deadline = runDeadlineFor(runnerConfig);
     struct PointSpec
@@ -360,14 +281,6 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
          workload::Suite::validationSet()) {
         for (double freq : freqs_mhz)
             specs.push_back({work, freq});
-    }
-
-    if (runnerConfig.workers > 1) {
-        std::vector<PrewarmSpec> prewarm;
-        prewarm.reserve(specs.size());
-        for (const PointSpec &spec : specs)
-            prewarm.push_back({spec.work, spec.freq, true});
-        prewarmStore(cluster, prewarm, deadline);
     }
 
     // Records are gathered by point index: the dataset order never
@@ -425,9 +338,6 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
 std::vector<powmon::PowerObservation>
 ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
 {
-    if (runnerConfig.workers > 1 && !store)
-        attachResultStore(std::make_shared<exec::ResultStore>());
-
     const Deadline deadline = runDeadlineFor(runnerConfig);
     struct PointSpec
     {
@@ -438,14 +348,6 @@ ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
     for (const workload::Workload &work : workload::Suite::all()) {
         for (double freq : frequenciesFor(cluster))
             specs.push_back({&work, freq});
-    }
-
-    if (runnerConfig.workers > 1) {
-        std::vector<PrewarmSpec> prewarm;
-        prewarm.reserve(specs.size());
-        for (const PointSpec &spec : specs)
-            prewarm.push_back({spec.work, spec.freq, false});
-        prewarmStore(cluster, prewarm, deadline);
     }
 
     std::vector<powmon::PowerObservation> observations(specs.size());

@@ -40,14 +40,6 @@ struct RunnerConfig
      */
     unsigned jobs = 1;
     /**
-     * Crash-isolated worker *processes* prewarming the result store
-     * before the experiment loops run (0 or 1 disables). Requires an
-     * attached store (one is attached automatically if absent);
-     * results are byte-identical at any worker count because the
-     * loops below replay from the warm store. See exec/procpool.hh.
-     */
-    unsigned workers = 0;
-    /**
      * Cooperative cancellation. When the token is cancelled the
      * experiment loops stop at the next measurement boundary (or
      * mid-simulation, at the model's poll points) and unwind with
@@ -133,28 +125,6 @@ class ExperimentRunner
     const RunnerConfig &config() const { return runnerConfig; }
 
   private:
-    /** One (workload, frequency) unit of the prewarm phase. */
-    struct PrewarmSpec
-    {
-        const workload::Workload *work = nullptr;
-        double freq = 0.0;
-        bool withG5 = false;  //!< also prewarm the g5 twin
-    };
-
-    /**
-     * Shard attempt-0 measurements (and optionally g5 runs) across
-     * RunnerConfig::workers forked processes, merging the computed
-     * store entries back into the attached store. Purely an
-     * accelerator: any spec the pool fails to finish is recomputed by
-     * the experiment loops. Bounded by @p deadline — the run's
-     * wall-clock budget applies to the prewarm too, and the
-     * experiment loops raise the structured DeadlineError. Must be
-     * called before any ThreadPool exists (fork safety).
-     */
-    void prewarmStore(hwsim::CpuCluster cluster,
-                      const std::vector<PrewarmSpec> &specs,
-                      const Deadline &deadline);
-
     /** Store key of one hardware measurement attempt. */
     std::string hwKey(const workload::Workload &work,
                       hwsim::CpuCluster cluster, double freq_mhz,

@@ -90,7 +90,6 @@ FaultInjector::Tally::operator=(const Tally &other)
     sensorStuck = other.sensorStuck.load();
     pmcGroupLosses = other.pmcGroupLosses.load();
     pmcOverflows = other.pmcOverflows.load();
-    workerCrashes = other.workerCrashes.load();
     return *this;
 }
 
@@ -104,7 +103,6 @@ FaultInjector::resetTally()
     faultTally.sensorStuck = 0;
     faultTally.pmcGroupLosses = 0;
     faultTally.pmcOverflows = 0;
-    faultTally.workerCrashes = 0;
 }
 
 bool
@@ -174,25 +172,6 @@ FaultInjector::plan(const std::string &workload,
         ++faultTally.pmcOverflows;
     }
     return plan;
-}
-
-bool
-FaultInjector::workerCrashPlanned(const std::string &workload,
-                                  const std::string &cluster_tag,
-                                  double freq_mhz) const
-{
-    if (!faultConfig.enabled || faultConfig.workerCrashProb <= 0.0)
-        return false;
-    // A private stream, tagged so it shares nothing with plan()'s
-    // per-attempt streams: enabling worker crashes must not shift any
-    // measurement fault decision.
-    std::string key = "workercrash:" + workload + ":" + cluster_tag +
-        ":" + formatDouble(freq_mhz, 3);
-    Rng rng(faultConfig.seed ^ hashString(key));
-    if (!rng.chance(faultConfig.workerCrashProb))
-        return false;
-    ++faultTally.workerCrashes;
-    return true;
 }
 
 } // namespace gemstone::hwsim

@@ -81,16 +81,6 @@ struct FaultConfig
     /** Relative execution-time inflation during such an episode. */
     double thermalSlowdown = 0.35;
 
-    /**
-     * The worker *process* executing a point's prewarm task is
-     * SIGKILLed mid-task (exec/procpool.hh re-dispatches the point to
-     * another worker). Deliberately excluded from signature() and
-     * active(): a killed worker changes no measured value — the
-     * re-dispatched task computes the same content-addressed entries
-     * — so cache keys and every existing fault stream stay stable.
-     */
-    double workerCrashProb = 0.0;
-
     /** True when enabled and at least one fault can fire. */
     bool active() const;
 
@@ -167,19 +157,6 @@ class FaultInjector
               unsigned attempt) const;
 
     /**
-     * Deterministic decision whether the worker process dispatched
-     * this point's prewarm task dies by SIGKILL (campaign worker
-     * pools only; see CampaignConfig::workers). Drawn from a stream
-     * independent of plan()'s — adding this mode shifts no existing
-     * fault decision — and keyed by point, not attempt: the crash
-     * fires on the first dispatch and the re-dispatched task runs
-     * clean.
-     */
-    bool workerCrashPlanned(const std::string &workload,
-                            const std::string &cluster_tag,
-                            double freq_mhz) const;
-
-    /**
      * Injected-fault totals, for campaign reports. The counters are
      * atomic so concurrent plan() calls from campaign worker threads
      * tally correctly; individual reads are exact once the campaign
@@ -195,7 +172,6 @@ class FaultInjector
         std::atomic<unsigned> sensorStuck{0};
         std::atomic<unsigned> pmcGroupLosses{0};
         std::atomic<unsigned> pmcOverflows{0};
-        std::atomic<unsigned> workerCrashes{0};
 
         Tally() = default;
         // Copies snapshot the counters (atomics are not copyable),

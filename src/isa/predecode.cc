@@ -78,11 +78,26 @@ execHalt(const DecodedOp &, CpuState &s, const ExecEnv &, OpOutcome &out)
 
 constexpr std::uint16_t branchFlags = UopBranch | UopEndsBlock;
 
-constexpr OpInfoTable kOpInfoTable = [] {
-    OpInfoTable t{};
+/**
+ * The dispatch table plus which opcodes set() filled. Presence is
+ * recorded as plain bools because comparing a handler's address
+ * against nullptr is not a constant expression in every build
+ * flavour (GCC rejects it under -fsanitize=undefined), while the
+ * completeness check below must stay compile-time in all of them.
+ */
+struct BuiltOpInfoTable
+{
+    OpInfoTable ops{};
+    std::array<bool, numOpcodes> present{};
+};
+
+constexpr BuiltOpInfoTable kOpInfoTable = [] {
+    BuiltOpInfoTable t{};
     auto set = [&t](Opcode op, ExecHandler fn, OpClass cls,
                     std::uint16_t flags, std::uint8_t mem_size) {
-        t[static_cast<unsigned>(op)] = OpInfo{fn, cls, flags, mem_size};
+        const auto index = static_cast<unsigned>(op);
+        t.ops[index] = OpInfo{fn, cls, flags, mem_size};
+        t.present[index] = true;
     };
 
     set(Opcode::Add, execAdd, OpClass::IntAlu, 0, 0);
@@ -147,10 +162,10 @@ constexpr OpInfoTable kOpInfoTable = [] {
 }();
 
 constexpr bool
-allHandlersPresent(const OpInfoTable &t)
+allHandlersPresent(const BuiltOpInfoTable &t)
 {
-    for (const OpInfo &info : t) {
-        if (info.fn == nullptr)
+    for (bool present : t.present) {
+        if (!present)
             return false;
     }
     return true;
@@ -164,7 +179,7 @@ static_assert(allHandlersPresent(kOpInfoTable),
 const OpInfoTable &
 opInfoTable()
 {
-    return kOpInfoTable;
+    return kOpInfoTable.ops;
 }
 
 PredecodedProgram::PredecodedProgram(const Program &program)

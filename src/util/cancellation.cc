@@ -11,38 +11,6 @@ namespace {
 
 thread_local CoopScope *currentScope = nullptr;
 
-/** Rate-limited poll hook state (see setCoopPollHook). */
-struct PollHook
-{
-    std::function<void()> callback;
-    std::chrono::steady_clock::duration interval{};
-    std::chrono::steady_clock::time_point lastFire{};
-    /** Checkpoints to skip before consulting the clock again. */
-    int budget = 0;
-    bool firing = false;
-};
-
-thread_local PollHook *currentHook = nullptr;
-
-/** Clock checks are amortised over this many checkpoints. */
-constexpr int kHookCheckStride = 2048;
-
-void
-pollHookTick()
-{
-    PollHook &hook = *currentHook;
-    if (hook.firing || --hook.budget > 0)
-        return;
-    hook.budget = kHookCheckStride;
-    auto now = std::chrono::steady_clock::now();
-    if (now - hook.lastFire < hook.interval)
-        return;
-    hook.lastFire = now;
-    hook.firing = true;
-    hook.callback();
-    hook.firing = false;
-}
-
 } // namespace
 
 CoopScope::CoopScope(CancellationToken token, Deadline deadline,
@@ -61,8 +29,6 @@ CoopScope::~CoopScope()
 void
 coopCheckpoint()
 {
-    if (currentHook != nullptr)
-        pollHookTick();
     for (CoopScope *scope = currentScope; scope != nullptr;
          scope = scope->previous) {
         scope->cancelToken.throwIfCancelled(scope->label);
@@ -74,30 +40,6 @@ bool
 coopScopeActive()
 {
     return currentScope != nullptr;
-}
-
-void
-setCoopPollHook(std::function<void()> hook, double interval_seconds)
-{
-    clearCoopPollHook();
-    auto *state = new PollHook();
-    state->callback = std::move(hook);
-    state->interval = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double>(interval_seconds));
-    // Fire on the first checkpoint so a worker announces progress as
-    // soon as it enters the run, not one interval in.
-    state->lastFire = std::chrono::steady_clock::now() -
-        state->interval;
-    state->budget = 1;
-    currentHook = state;
-}
-
-void
-clearCoopPollHook()
-{
-    delete currentHook;
-    currentHook = nullptr;
 }
 
 } // namespace gemstone

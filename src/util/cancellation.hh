@@ -24,7 +24,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -180,23 +179,6 @@ void coopCheckpoint();
 
 /** True when any cooperative scope is installed on this thread. */
 bool coopScopeActive();
-
-/**
- * Install a per-thread hook invoked from coopCheckpoint() at most
- * once per @p interval_seconds. The simulation loops already poll
- * coopCheckpoint() every few thousand instructions, so the hook
- * piggybacks on those poll sites — a procpool worker uses it to emit
- * heartbeats from inside a long run without needing a second thread
- * (which a forked child must avoid). The clock is only consulted
- * every few thousand checkpoints, so an installed hook costs the
- * inner loops a counter decrement. The hook must not throw; a hook
- * that re-enters coopCheckpoint() is not re-invoked recursively.
- */
-void setCoopPollHook(std::function<void()> hook,
-                     double interval_seconds);
-
-/** Remove the current thread's poll hook. */
-void clearCoopPollHook();
 
 } // namespace gemstone
 

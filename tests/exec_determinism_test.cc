@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -59,43 +58,6 @@ faultedCampaign(unsigned jobs,
     policy.maxPoints = max_points;
     CampaignEngine engine(runner, policy);
     return engine.runValidation(hwsim::CpuCluster::BigA15, kFreqs);
-}
-
-/**
- * One faulted campaign prewarmed by a pool of forked worker
- * processes. @p crash_prob arms the worker_crash fault mode (seeded
- * SIGKILL of the executing worker); the pool knobs come through so
- * tests can run the chaos harness or starve the respawn budget.
- */
-CampaignResult
-pooledCampaign(unsigned workers, double crash_prob = 0.0,
-               double chaos_interval = 0.0, int max_respawns = -1)
-{
-    ExperimentRunner runner{RunnerConfig{}};
-    hwsim::FaultConfig faults = hwsim::FaultConfig::labMix();
-    faults.workerCrashProb = crash_prob;
-    runner.platform().injectFaults(faults);
-    CampaignConfig policy;
-    policy.jobs = 1;
-    policy.workers = workers;
-    policy.workerPool.chaosKillIntervalSeconds = chaos_interval;
-    if (max_respawns >= 0)
-        policy.workerPool.maxRespawns =
-            static_cast<unsigned>(max_respawns);
-    CampaignEngine engine(runner, policy);
-    return engine.runValidation(hwsim::CpuCluster::BigA15, kFreqs);
-}
-
-/** Worker counts to exercise: the CI matrix pins one via env. */
-std::vector<unsigned>
-pooledWorkerCounts()
-{
-    if (const char *env = std::getenv("GEMSTONE_TEST_WORKERS")) {
-        unsigned workers = static_cast<unsigned>(std::atoi(env));
-        if (workers >= 1)
-            return {workers};
-    }
-    return {2u, 4u};
 }
 
 /** Full equality of the campaign-visible output. */
@@ -239,76 +201,6 @@ TEST(ExecDeterminism, ReusedFaultedRunnerIsJobsIndependent)
     for (std::size_t i = 0; i < serial.size(); ++i)
         ASSERT_EQ(serial[i], parallel[i]) << "observation " << i;
 }
-
-#if defined(__unix__) || defined(__APPLE__)
-
-TEST(ExecDeterminism, PooledPrewarmIsByteIdenticalToSerial)
-{
-    CampaignResult serial = faultedCampaign(1);
-    ASSERT_GT(serial.totalFailures + serial.totalRejected, 0u);
-
-    for (unsigned workers : pooledWorkerCounts()) {
-        CampaignResult pooled = pooledCampaign(workers);
-        expectIdentical(serial, pooled,
-                        ("workers=" + std::to_string(workers))
-                            .c_str());
-        if (workers > 1) {
-            // The pool must have actually carried the prewarm.
-            EXPECT_GT(pooled.poolStats.tasksTotal, 0u);
-            EXPECT_GT(pooled.poolStats.tasksCompleted +
-                          pooled.poolStats.tasksFallback, 0u);
-        }
-    }
-}
-
-TEST(ExecDeterminism, ChaosKilledWorkersStayByteIdentical)
-{
-    // The coordinator SIGKILLs a busy worker every 20 ms. However
-    // many die, a worker's only effect is the cache entries it ships
-    // back, so the replayed output cannot move.
-    CampaignResult serial = faultedCampaign(1);
-    CampaignResult chaotic =
-        pooledCampaign(4, /*crash_prob=*/0.0,
-                       /*chaos_interval=*/0.02);
-    expectIdentical(serial, chaotic, "chaos-killed pool");
-    EXPECT_GT(chaotic.poolStats.tasksTotal, 0u);
-}
-
-TEST(ExecDeterminism, WorkerCrashFaultIsByteIdentical)
-{
-    // worker_crash plans its kills on a seeded stream independent of
-    // the measurement draws, and a kill changes no measured value:
-    // with half the prewarm tasks crashing their worker on first
-    // dispatch, the collated output must still match the serial
-    // campaign bit for bit. (Which worker life absorbs which crash
-    // is timing-dependent, so only byte-identity and "somebody
-    // died" are contractual.)
-    CampaignResult serial = faultedCampaign(1);
-    CampaignResult crashed = pooledCampaign(2, /*crash_prob=*/0.5);
-    CampaignResult rerun = pooledCampaign(2, /*crash_prob=*/0.5);
-
-    expectIdentical(serial, crashed, "crash-faulted pool");
-    expectIdentical(serial, rerun, "crash-faulted pool rerun");
-    EXPECT_GE(crashed.poolStats.workerDeaths, 1u);
-    EXPECT_GE(rerun.poolStats.workerDeaths, 1u);
-}
-
-TEST(ExecDeterminism, LosingEveryWorkerStillCompletesTheCampaign)
-{
-    // Every first dispatch kills its worker and the respawn budget
-    // is tiny: the pool exhausts, the survivors fall back in-process
-    // and the replay recomputes the rest — the campaign must still
-    // complete, byte-identical.
-    CampaignResult serial = faultedCampaign(1);
-    CampaignResult starved =
-        pooledCampaign(2, /*crash_prob=*/1.0,
-                       /*chaos_interval=*/0.0, /*max_respawns=*/1);
-    expectIdentical(serial, starved, "exhausted pool");
-    EXPECT_TRUE(starved.complete);
-    EXPECT_GE(starved.poolStats.workerDeaths, 2u);
-}
-
-#endif // unix
 
 TEST(ExecDeterminism, StorePersistenceSurvivesProcessBoundary)
 {

@@ -1,9 +1,8 @@
 /**
  * @file
  * The shared persistent result-store tier: publish/absorb exchange
- * between attached stores, journal semantics, loadCsv compatibility,
- * the only-the-attacher-publishes fork rule, and — the point of the
- * flock discipline — multiple processes hammering one tier file
+ * between attached stores, loadCsv compatibility, and — the point of
+ * the flock discipline — multiple processes hammering one tier file
  * without ever producing a torn, interleaved or duplicated row.
  */
 
@@ -125,37 +124,9 @@ TEST(SharedTier, PublishDeduplicatesAcrossStores)
     EXPECT_EQ(fresh.loadCsv(file.path), 1u);
 }
 
-TEST(SharedTier, JournalRecordsOwnInsertsOnly)
-{
-    ScratchFile file("gs_tier_journal.csv");
-    ResultStore a;
-    ResultStore b;
-    ASSERT_TRUE(a.attachSharedTier(file.path).ok());
-    ASSERT_TRUE(b.attachSharedTier(file.path).ok());
-    a.insert("foreign|key", sampleFields(5.0));
-
-    b.enableJournal();
-    b.insert("own|one", sampleFields(6.0));
-    // Absorbing a's entry through a miss is not b's work.
-    ResultStore::Fields out;
-    ASSERT_TRUE(b.lookup("foreign|key", out));
-    b.insert("own|two", sampleFields(7.0));
-
-    auto journal = b.takeJournal();
-    ASSERT_EQ(journal.size(), 2u);
-    EXPECT_EQ(journal[0].first, "own|one");
-    EXPECT_EQ(journal[1].first, "own|two");
-    ASSERT_EQ(journal[0].second.size(), 3u);
-    EXPECT_TRUE(bitEqual(journal[0].second[0].second, 6.0 * 0.125));
-
-    // takeJournal() stops recording until re-enabled.
-    b.insert("own|three", sampleFields(8.0));
-    EXPECT_TRUE(b.takeJournal().empty());
-}
-
 TEST(SharedTier, TierFileLoadsAsPlainStoreCsv)
 {
-    // The tier is deliberately loadCsv-compatible: a workerless run
+    // The tier is deliberately loadCsv-compatible: a snapshot run
     // pointed at the same --cache path must be able to read it.
     ScratchFile file("gs_tier_compat.csv");
     {
@@ -177,33 +148,6 @@ TEST(SharedTier, TierFileLoadsAsPlainStoreCsv)
 
 #if defined(__unix__) || defined(__APPLE__)
 
-TEST(SharedTier, ForkedChildNeverPublishes)
-{
-    // The fork rule behind crash isolation: a child inheriting the
-    // attachment reads the tier but its inserts stay local, so a
-    // SIGKILLed worker cannot be holding the write lock mid-append.
-    ScratchFile file("gs_tier_forkrule.csv");
-    ResultStore store;
-    ASSERT_TRUE(store.attachSharedTier(file.path).ok());
-    store.insert("parent|key", sampleFields(1.0));
-
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        store.insert("child|key", sampleFields(2.0));
-        ::_exit(0);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-
-    ResultStore fresh;
-    ASSERT_TRUE(fresh.attachSharedTier(file.path).ok());
-    ResultStore::Fields out;
-    EXPECT_TRUE(fresh.lookup("parent|key", out));
-    EXPECT_FALSE(fresh.lookup("child|key", out));
-}
-
 TEST(SharedTier, ConcurrentProcessesNeverTearOrDuplicateRows)
 {
     // Four processes, each with its own attachment (so each *is* a
@@ -219,8 +163,8 @@ TEST(SharedTier, ConcurrentProcessesNeverTearOrDuplicateRows)
         pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            // Child: a post-fork attachment makes this pid the
-            // tier owner of its own store.
+            // Child: a post-fork attachment gives this process its
+            // own lock identity on the tier file.
             ResultStore mine;
             if (!mine.attachSharedTier(file.path).ok())
                 ::_exit(1);
