@@ -16,19 +16,19 @@
  * rejections, ledgered backoff, excluded points).
  *
  * A final section interrupts a checkpointed campaign with its
- * cancellation token mid-flight (the same path a SIGTERM takes, see
- * util/signals.hh), resumes it from the checkpoint, and shows the
- * resumed collated dataset is byte-identical to an uninterrupted
- * campaign's — at one job and at a full thread pool alike. How many
- * points the interrupt abandoned depends on wall-clock timing, so
- * that count goes to stderr and stdout stays deterministic.
+ * cancellation token once a third of its points have settled (the
+ * same path a SIGTERM takes, see util/signals.hh), resumes it from
+ * the checkpoint, and shows the resumed collated dataset is
+ * byte-identical to an uninterrupted campaign's — at one job and at
+ * a full thread pool alike. How many points the interrupt abandoned
+ * depends on thread timing at a full pool, so that count goes to
+ * stderr and stdout stays deterministic.
  */
 
-#include <chrono>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <thread>
 
 #include "exec/threadpool.hh"
 #include "gemstone/campaign.hh"
@@ -69,10 +69,12 @@ faultedCampaign(hwsim::CpuCluster cluster,
 
 /**
  * Interrupt a checkpointed campaign mid-flight via its cancellation
- * token (a watchdog thread plays the SIGTERM handler), then resume
- * it to completion from the checkpoint. Returns the resumed result;
- * @p was_interrupted reports whether the token stopped the first
- * run and @p cancelled_points how much work it abandoned.
+ * token, cancelled from the point sink (playing the SIGTERM handler)
+ * once a third of the points have settled, so the resume always
+ * starts from a partial checkpoint. Then resume it to completion from
+ * the checkpoint. Returns the resumed result; @p was_interrupted
+ * reports whether the token stopped the first run and
+ * @p cancelled_points how much work it abandoned.
  */
 CampaignResult
 interruptedThenResumed(hwsim::CpuCluster cluster, unsigned jobs,
@@ -90,13 +92,13 @@ interruptedThenResumed(hwsim::CpuCluster cluster, unsigned jobs,
         CampaignConfig interrupted = policy;
         CancellationToken token;
         interrupted.cancel = token;
-        std::thread watchdog([token]() mutable {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(30));
-            token.requestCancel();
-        });
+        std::atomic<std::size_t> settled{0};
+        interrupted.pointSink = [&](const core::CampaignPoint &,
+                                    std::size_t, std::size_t total) {
+            if (settled.fetch_add(1) + 1 == total / 3)
+                token.requestCancel();
+        };
         CampaignResult partial = faultedCampaign(cluster, interrupted);
-        watchdog.join();
         was_interrupted = partial.cancelled;
         cancelled_points = partial.cancelledPoints;
     }

@@ -22,12 +22,12 @@
  * scalars (timing, power, temperature), the surviving repeat
  * timings and the PMC map — rendered with round-trip-exact doubles,
  * so a resumed campaign collates a dataset byte-identical to the
- * uninterrupted one. Every checkpoint write is atomic (temp + fsync
- * + rename, trailing integrity marker); on load, a torn tail is
- * quarantined to a `.corrupt` sidecar and resume continues from the
- * last good row. Fault decisions are pure functions of (point,
- * attempt) — see hwsim/faults.hh — so a resumed campaign observes
- * exactly the faults the uninterrupted one would have.
+ * uninterrupted one. The file is created atomically, then each point
+ * appends one row in place and fdatasyncs it; on load, a torn final
+ * row is quarantined to a `.corrupt` sidecar and resume continues
+ * from the last good row. Fault decisions are pure functions of
+ * (point, attempt) — see hwsim/faults.hh — so a resumed campaign
+ * observes exactly the faults the uninterrupted one would have.
  *
  * Cancellation and deadlines: a cancelled CampaignConfig::cancel
  * token stops the campaign at the next point boundary (in-flight

@@ -11,7 +11,7 @@
 #include <fstream>
 #include <random>
 
-#include "util/atomicfile.hh"
+#include "exec/resultstore.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/strutil.hh"
@@ -20,7 +20,8 @@ namespace gemstone::serve {
 
 namespace {
 
-constexpr char kJournalHeader[] = "gemstone-journal v1";
+constexpr char kJournalHeader[] = "gemstone-journal v2";
+constexpr char kJournalV1Header[] = "gemstone-journal v1\n";
 constexpr char kTokenPrefix[] = "gst1-";
 constexpr std::size_t kTokenHexChars = 32;
 
@@ -34,16 +35,25 @@ hexDigit(char c)
     return -1;
 }
 
-/** "key value" split; false when the line has no space. */
-bool
-splitField(const std::string &line, std::string &key,
-           std::string &value)
+/** 16 lowercase hex digits of @p value. */
+std::string
+hex64(std::uint64_t value)
 {
-    std::size_t space = line.find(' ');
-    if (space == std::string::npos)
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (int shift = 60; shift >= 0; shift -= 4)
+        out.push_back(digits[(value >> shift) & 0xf]);
+    return out;
+}
+
+/** "<key> <value>" header line; false on any other key. */
+bool
+headerField(const std::string &line, const std::string &key,
+            std::string &value)
+{
+    if (!startsWith(line, key + " "))
         return false;
-    key = line.substr(0, space);
-    value = line.substr(space + 1);
+    value = line.substr(key.size() + 1);
     return true;
 }
 
@@ -102,15 +112,8 @@ makeResumeToken(std::uint64_t request_id)
                      .time_since_epoch()
                      .count())
         << 17;
-    std::uint64_t a = splitmix64(state);
-    std::uint64_t b = splitmix64(state);
-    static const char digits[] = "0123456789abcdef";
-    std::string token = kTokenPrefix;
-    for (int shift = 60; shift >= 0; shift -= 4)
-        token.push_back(digits[(a >> shift) & 0xf]);
-    for (int shift = 60; shift >= 0; shift -= 4)
-        token.push_back(digits[(b >> shift) & 0xf]);
-    return token;
+    std::string token = kTokenPrefix + hex64(splitmix64(state));
+    return token + hex64(splitmix64(state));
 }
 
 bool
@@ -141,91 +144,68 @@ journalCheckpointPath(const std::string &dir, const std::string &token)
 }
 
 std::string
-encodeRequestJournal(const RequestJournal &journal)
+encodeJournalLine(const std::string &key, const std::string &payload)
 {
-    std::string out = kJournalHeader;
-    out += '\n';
-    out += "request " + std::to_string(journal.requestId) + '\n';
-    out += "token " + journal.token + '\n';
-    out += std::string("status ") +
-        (journal.finished ? "finished" : "running") + '\n';
-    out += "spec " + hexEncode(journal.specBytes) + '\n';
-    for (const std::string &point : journal.points)
-        out += "point " + hexEncode(point) + '\n';
-    if (journal.finished)
-        out += "summary " + hexEncode(journal.summary) + '\n';
-    return out;
+    return key + ' ' + hexEncode(payload) + ' ' +
+        hex64(exec::ResultStore::fnv1a(payload)) + '\n';
 }
 
 bool
 decodeRequestJournal(const std::string &content, RequestJournal &out)
 {
     out = RequestJournal();
+    // Only newline-terminated lines count: the field after the last
+    // newline is a torn append (empty when the file is intact).
     std::vector<std::string> lines = split(content, '\n');
-    // A complete journal ends "#end\n" — split() then yields exactly
-    // one trailing empty field. A missing final newline means a
-    // truncated tail, so it fails closed like any other tear.
-    if (lines.size() < 7 || !lines.back().empty())
-        return false;
     lines.pop_back();
-    if (lines.front() != kJournalHeader ||
-        lines.back() != kJournalMarker) {
+    std::string id, spec_hex;
+    if (lines.size() < 4 || lines[0] != kJournalHeader ||
+        !headerField(lines[1], "request", id) ||
+        !headerField(lines[2], "token", out.token) ||
+        !headerField(lines[3], "spec", spec_hex) ||
+        !validResumeToken(out.token) ||
+        !hexDecode(spec_hex, out.specBytes)) {
         return false;
     }
-    bool saw_request = false, saw_token = false, saw_status = false;
-    bool saw_spec = false;
-    for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
-        std::string key, value;
-        if (!splitField(lines[i], key, value))
-            return false;
-        if (key == "request") {
-            try {
-                out.requestId = std::stoull(value);
-            } catch (const std::exception &) {
-                return false;
-            }
-            saw_request = true;
-        } else if (key == "token") {
-            if (!validResumeToken(value))
-                return false;
-            out.token = value;
-            saw_token = true;
-        } else if (key == "status") {
-            if (value == "finished")
-                out.finished = true;
-            else if (value != "running")
-                return false;
-            saw_status = true;
-        } else if (key == "spec") {
-            if (!hexDecode(value, out.specBytes))
-                return false;
-            saw_spec = true;
-        } else if (key == "point") {
-            std::string payload;
-            if (!hexDecode(value, payload))
-                return false;
+    try {
+        out.requestId = std::stoull(id);
+    } catch (const std::exception &) {
+        return false;
+    }
+    // The longest valid prefix of records: the first line that is
+    // malformed or fails its checksum ends the journal.
+    for (std::size_t i = 4; i < lines.size() && !out.finished; ++i) {
+        std::vector<std::string> fields = split(lines[i], ' ');
+        std::string payload;
+        if (fields.size() != 3 || !hexDecode(fields[1], payload) ||
+            fields[2] != hex64(exec::ResultStore::fnv1a(payload))) {
+            break;
+        }
+        if (fields[0] == "point") {
             out.points.push_back(std::move(payload));
-        } else if (key == "summary") {
-            if (!hexDecode(value, out.summary))
-                return false;
+        } else if (fields[0] == "summary") {
+            out.summary = std::move(payload);
+            out.finished = true;
         } else {
-            return false;  // unknown field: fail closed
+            break;
         }
     }
-    if (!saw_request || !saw_token || !saw_status || !saw_spec)
-        return false;
-    if (out.finished && out.summary.empty())
-        return false;
     return true;
 }
 
 Status
-saveRequestJournal(const std::string &dir,
-                   const RequestJournal &journal)
+createRequestJournal(const std::string &dir,
+                     const RequestJournal &journal, AppendFile &file)
 {
-    return atomicWriteFile(journalPath(dir, journal.token),
-                           encodeRequestJournal(journal),
-                           kJournalMarker);
+    std::string content = std::string(kJournalHeader) + '\n';
+    content += "request " + std::to_string(journal.requestId) + '\n';
+    content += "token " + journal.token + '\n';
+    content += "spec " + hexEncode(journal.specBytes) + '\n';
+    for (const std::string &point : journal.points)
+        content += encodeJournalLine("point", point);
+    if (journal.finished)
+        content += encodeJournalLine("summary", journal.summary);
+    return file.create(journalPath(dir, journal.token), content);
 }
 
 Status
@@ -277,6 +257,18 @@ loadJournalDir(const std::string &dir,
             }
             content.assign(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
+        }
+        if (startsWith(content, kJournalV1Header)) {
+            // Whole-file-rewrite format of an older daemon: its
+            // payloads carry no checksums, so it is not resumed.
+            const std::string token =
+                name.substr(4, name.size() - 4 - 8);
+            if (validResumeToken(token))
+                removeRequestJournal(dir, token);
+            warnings.push_back("journal " + name +
+                               ": gemstone-journal v1 for token " +
+                               token + "; dropped");
+            continue;
         }
         RequestJournal journal;
         if (!decodeRequestJournal(content, journal)) {

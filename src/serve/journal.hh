@@ -4,11 +4,12 @@
  *
  * A durable request's admitted state — spec bytes, resume token,
  * settled PointResult payloads in stream order, and the final Summary
- * payload — is persisted as one journal file per request. Every save
- * rewrites the whole journal through util/atomicfile (tmp + fsync +
- * rename + integrity marker), so a SIGKILL at any byte offset leaves
- * either the previous complete journal or the new one, never a torn
- * record a recovery would then trust.
+ * payload — is persisted as one append-only journal file per request
+ * (util/atomicfile AppendFile): the header is created atomically at
+ * admission, then every settled point and the summary append one
+ * checksummed line. The daemon fdatasyncs each journal once per
+ * drained event batch, before any frame of that batch reaches a
+ * client, so a client never holds a point the journal could lose.
  *
  * The journal is the replay source for Attach: the stored payloads
  * are the exact bytes the daemon streamed, so a re-attached stream is
@@ -18,16 +19,19 @@
  * and token, and resumes its campaign from the per-request checkpoint
  * file that lives alongside the journal.
  *
- * Format (text lines; binary payloads hex-encoded):
+ * Format v2 (text lines; binary payloads hex-encoded; <sum> is
+ * exec::ResultStore::fnv1a of the payload bytes as 16 lowercase hex
+ * digits):
  *
- *   gemstone-journal v1
+ *   gemstone-journal v2
  *   request <decimal id>
  *   token <token string>
- *   status running|finished
  *   spec <hex of encodeCampaignSpec bytes>
- *   point <hex of encodePointUpdate payload>      (0..n, stream order)
- *   summary <hex of encodeSummary payload>        (finished only)
- *   #end                                          (integrity marker)
+ *   point <hex of encodePointUpdate payload> <sum>   (0..n, stream order)
+ *   summary <hex of encodeSummary payload> <sum>     (finished only)
+ *
+ * A SIGKILL mid-append can only tear the last line; the decoder keeps
+ * the longest prefix of lines that pass their checksums.
  *
  * DESIGN.md §16 is the normative description.
  */
@@ -39,12 +43,10 @@
 #include <string>
 #include <vector>
 
+#include "util/atomicfile.hh"
 #include "util/status.hh"
 
 namespace gemstone::serve {
-
-/** Journal file integrity marker (atomicWriteFile marker line). */
-inline constexpr char kJournalMarker[] = "#end";
 
 /** Durable state of one admitted request. */
 struct RequestJournal
@@ -54,7 +56,7 @@ struct RequestJournal
     std::string token;
     /** encodeCampaignSpec() bytes — the idempotency key. */
     std::string specBytes;
-    /** True once the Summary settled. */
+    /** True once a valid summary line is present. */
     bool finished = false;
     /** Settled encodePointUpdate() payloads, in stream order — the
      *  byte-exact Attach replay source. */
@@ -90,21 +92,26 @@ std::string journalPath(const std::string &dir,
 std::string journalCheckpointPath(const std::string &dir,
                                   const std::string &token);
 
-/** Serialise a journal to its file format (without the marker). */
-std::string encodeRequestJournal(const RequestJournal &journal);
+/** One appended journal record: `<key> <hex payload> <sum>\n`,
+ *  where @p key is "point" or "summary". */
+std::string encodeJournalLine(const std::string &key,
+                              const std::string &payload);
 
 /**
- * Parse journal file content (marker line included). False on any
- * malformed line, missing field, bad hex or absent integrity marker —
+ * Parse journal file content: the four header lines, then the
+ * longest prefix of complete record lines that pass their checksums.
+ * False only when the header itself is missing or malformed —
  * recovery skips such a file instead of trusting it.
  */
 bool decodeRequestJournal(const std::string &content,
                           RequestJournal &out);
 
-/** Atomic save of @p journal under @p dir (creates the file's final
- *  bytes in one rename; see util/atomicfile). */
-Status saveRequestJournal(const std::string &dir,
-                          const RequestJournal &journal);
+/** Atomically (re)create @p journal's file under @p dir (header,
+ *  point lines, summary line when finished) and open it in @p file
+ *  for further appends. */
+Status createRequestJournal(const std::string &dir,
+                            const RequestJournal &journal,
+                            AppendFile &file);
 
 /** Delete a request's journal, checkpoint and checkpoint sidecar.
  *  Missing files are fine; only real unlink failures are reported. */
@@ -113,10 +120,12 @@ Status removeRequestJournal(const std::string &dir,
 
 /**
  * Scan @p dir for `req_*.journal` files and decode each. Undecodable
- * files (torn by external corruption, or a foreign format) are
+ * files (damaged by external corruption, or a foreign format) are
  * skipped with a warning appended to @p warnings — recovery never
- * aborts on one bad journal. Returned in token order (scan order is
- * filesystem-dependent; sorting keeps recovery deterministic).
+ * aborts on one bad journal. A v1 journal is removed together with
+ * its checkpoint, with a warning naming its token. Returned in
+ * request-id order (scan order is filesystem-dependent; sorting keeps
+ * recovery deterministic).
  */
 Result<std::vector<RequestJournal>> loadJournalDir(
     const std::string &dir, std::vector<std::string> &warnings);

@@ -261,6 +261,9 @@ Server::recoverJournals()
                                      record.token);
                 continue;
             }
+            // Re-create the journal from its valid prefix: a torn
+            // tail would hide every line appended after it.
+            openJournal(record);
             Pending pending;
             pending.requestId = record.requestId;
             pending.spec = std::move(spec);
@@ -307,7 +310,7 @@ Server::findRunning(std::uint64_t request_id)
 }
 
 void
-Server::journalRecord(const RequestRecord &record)
+Server::openJournal(RequestRecord &record)
 {
     if (!record.durable || serverConfig.journalDir.empty())
         return;
@@ -315,16 +318,14 @@ Server::journalRecord(const RequestRecord &record)
     journal.requestId = record.requestId;
     journal.token = record.token;
     journal.specBytes = record.specBytes;
-    journal.finished = !record.summaryPayload.empty();
     journal.points = record.pointPayloads;
-    journal.summary = record.summaryPayload;
-    Status saved = saveRequestJournal(serverConfig.journalDir,
-                                      journal);
-    if (!saved.ok()) {
+    Status created = createRequestJournal(serverConfig.journalDir,
+                                          journal, record.journal);
+    if (!created.ok()) {
         // Durability degrades; serving continues. The client still
         // gets its stream — it just cannot survive a daemon crash.
         warn("gemstoned: cannot journal request ", record.requestId,
-             ": ", saved.toString());
+             ": ", created.toString());
     }
 }
 
@@ -496,7 +497,7 @@ Server::handleSubmit(Connection &conn, const std::string &payload)
                  encodeAccepted(accepted));
     // Journal before the campaign starts: from here on a daemon
     // crash re-admits the request instead of losing it.
-    journalRecord(record);
+    openJournal(record);
     tokenIndex[record.token] = record.requestId;
     {
         std::lock_guard<std::mutex> lock(statsMutex);
@@ -1008,27 +1009,50 @@ Server::drainEvents()
         std::lock_guard<std::mutex> lock(eventMutex);
         batch.swap(events);
     }
+    // A settled point (or the summary) must reach the replay buffer
+    // and the journal whether or not a client is attached — the whole
+    // durability contract. Group commit: append the batch's lines,
+    // fdatasync each touched journal once, then route the frames.
+    auto warn_if_failed = [](const RequestRecord &record,
+                             const Status &status) {
+        if (!status.ok()) {
+            warn("gemstoned: cannot journal request ",
+                 record.requestId, ": ", status.toString());
+        }
+    };
+    std::set<RequestRecord *> touched;
+    for (const OutEvent &event : batch) {
+        RequestRecord *record = findRecord(event.requestId);
+        if (event.kind != OutEvent::Kind::Frame || record == nullptr)
+            continue;
+        const char *key = nullptr;
+        if (event.type == exec::FrameType::PointResult) {
+            record->pointPayloads.push_back(event.payload);
+            key = "point";
+        } else if (event.type == exec::FrameType::Summary) {
+            record->summaryPayload = event.payload;
+            key = "summary";
+        }
+        if (key == nullptr || !record->journal.isOpen())
+            continue;
+        warn_if_failed(*record, record->journal.append(
+                                    encodeJournalLine(key, event.payload)));
+        touched.insert(record);
+    }
+    for (RequestRecord *record : touched) {
+        if (record->journal.isOpen())
+            warn_if_failed(*record, record->journal.sync());
+        if (!record->summaryPayload.empty())
+            record->journal.close();  // nothing follows the summary
+    }
     for (OutEvent &event : batch) {
         if (event.kind == OutEvent::Kind::Finished) {
             finishRequest(event);
             continue;
         }
-        // Record the frame before routing it: a settled point (or
-        // the summary) must reach the replay buffer and the journal
-        // whether or not a client is currently attached — that is
-        // the whole durability contract.
         RequestRecord *record = findRecord(event.requestId);
-        std::uint64_t target = event.connId;
-        if (record != nullptr) {
-            target = record->connId;
-            if (event.type == exec::FrameType::PointResult) {
-                record->pointPayloads.push_back(event.payload);
-                journalRecord(*record);
-            } else if (event.type == exec::FrameType::Summary) {
-                record->summaryPayload = event.payload;
-                journalRecord(*record);
-            }
-        }
+        std::uint64_t target =
+            record != nullptr ? record->connId : event.connId;
         auto it = connections.find(target);
         if (it == connections.end())
             continue;  // stream detached (durable) or died with conn

@@ -64,6 +64,7 @@
 #include "exec/resultstore.hh"
 #include "exec/wireproto.hh"
 #include "serve/protocol.hh"
+#include "util/atomicfile.hh"
 #include "util/cancellation.hh"
 #include "util/status.hh"
 
@@ -206,6 +207,9 @@ class Server
         std::vector<std::string> pointPayloads;
         /** Final Summary payload once settled. */
         std::string summaryPayload;
+        /** An unfinished durable request's journal, open for
+         *  appends until its summary is synced or an IO error. */
+        AppendFile journal;
         RequestOutcome outcome = RequestOutcome::Ok;
         std::chrono::steady_clock::time_point finishedAt{};
     };
@@ -252,9 +256,10 @@ class Server
      *  the byte-exact replay of every settled PointResult, then the
      *  Summary when the request already finished. */
     void bindRequest(RequestRecord &record, Connection &conn);
-    /** Mirror a durable record to its journal file (atomic rewrite);
-     *  no-op for non-durable records or without Config::journalDir. */
-    void journalRecord(const RequestRecord &record);
+    /** Create a durable record's journal holding its settled state
+     *  (atomic create, see serve/journal); no-op for non-durable
+     *  records or without Config::journalDir. */
+    void openJournal(RequestRecord &record);
     /** Forget a request: token unbound, journal artifacts removed. */
     void retireRequest(std::uint64_t request_id);
     /** Boot-time scan of Config::journalDir: finished journals are

@@ -5,7 +5,9 @@
 
 #include "util/atomicfile.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -98,6 +100,65 @@ atomicWriteFile(const std::string &path, const std::string &content,
     // hard error like every other step; callers relying on "either
     // the old file or the new one" need the rename to actually stick.
     return fsyncDirectoryOf(path);
+}
+
+Status
+AppendFile::create(const std::string &path, const std::string &initial)
+{
+    close();
+    Status created = atomicWriteFile(path, initial);
+    if (!created.ok())
+        return created;
+    fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd < 0) {
+        return Status::error(StatusCode::IoError,
+                             "cannot open " + path + " for append: " +
+                                 std::strerror(errno));
+    }
+    filePath = path;
+    return Status::okStatus();
+}
+
+Status
+AppendFile::append(const std::string &bytes)
+{
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            Status failed = Status::error(
+                StatusCode::IoError,
+                "cannot append to " + filePath + ": " +
+                    std::strerror(errno));
+            close();
+            return failed;
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    return Status::okStatus();
+}
+
+Status
+AppendFile::sync()
+{
+    if (::fdatasync(fd) != 0) {
+        Status failed = Status::error(StatusCode::IoError,
+                                      "cannot fdatasync " + filePath +
+                                          ": " + std::strerror(errno));
+        close();
+        return failed;
+    }
+    return Status::okStatus();
+}
+
+void
+AppendFile::close()
+{
+    if (fd >= 0)
+        ::close(fd);
+    fd = -1;
 }
 
 Result<TailRecovery>

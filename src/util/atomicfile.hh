@@ -11,11 +11,12 @@
  * trailing integrity marker line so readers can distinguish "written
  * to completion" from "appended to until the lights went out".
  *
- * For append-style files produced by older runs or torn by the
- * filesystem itself, recoverCsvTail() quarantines a partial final
- * record into a `.corrupt` sidecar and truncates the file back to
- * its last complete row, so resume continues from the last good row
- * instead of aborting (or worse, mis-parsing).
+ * Files that grow one record at a time (checkpoints, journals) use
+ * AppendFile: created through atomicWriteFile, then appended in
+ * place. A crash mid-append can only tear the final record; for CSV,
+ * recoverCsvTail() quarantines that partial record into a `.corrupt`
+ * sidecar and truncates the file back to its last complete row, so
+ * resume continues from the last good row instead of aborting.
  */
 
 #ifndef GEMSTONE_UTIL_ATOMICFILE_HH
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "util/status.hh"
 
@@ -44,6 +46,43 @@ Status atomicWriteFile(const std::string &path,
  * entry is flushed. No-op Ok on platforms without fsync.
  */
 Status fsyncDirectoryOf(const std::string &path);
+
+/**
+ * A durable append-only file, created (with its first bytes) through
+ * atomicWriteFile so a torn create cannot exist. A failed append or
+ * sync closes the file: bytes after a torn record would be unreadable.
+ */
+class AppendFile
+{
+  public:
+    AppendFile() = default;
+    AppendFile(AppendFile &&other) noexcept
+        : fd(std::exchange(other.fd, -1)),
+          filePath(std::move(other.filePath))
+    {
+    }
+    AppendFile &
+    operator=(AppendFile other) noexcept
+    {
+        std::swap(fd, other.fd);
+        std::swap(filePath, other.filePath);
+        return *this;
+    }
+    ~AppendFile() { close(); }
+
+    /** atomicWriteFile(@p path, @p initial), then open to append. */
+    Status create(const std::string &path, const std::string &initial);
+    /** Write all of @p bytes at the end (durable after sync()). */
+    Status append(const std::string &bytes);
+    /** fdatasync. */
+    Status sync();
+    void close();
+    bool isOpen() const { return fd >= 0; }
+
+  private:
+    int fd = -1;
+    std::string filePath;
+};
 
 /** Outcome of a tail-recovery pass over an append-style CSV. */
 struct TailRecovery

@@ -58,20 +58,25 @@ CsvWriter::quote(const std::string &field)
     return out;
 }
 
+std::string
+CsvWriter::formatRow(const std::vector<std::string> &cells)
+{
+    std::string out;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        out += quote(cells[i]);
+    }
+    out += '\n';
+    return out;
+}
+
 void
 CsvWriter::write(std::ostream &os) const
 {
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i > 0)
-                os << ',';
-            os << quote(cells[i]);
-        }
-        os << '\n';
-    };
-    emit(headerCells);
+    os << formatRow(headerCells);
     for (const auto &row : rows)
-        emit(row);
+        os << formatRow(row);
 }
 
 bool

@@ -67,6 +67,9 @@ class CsvWriter
     /** Quote a single CSV field if needed. */
     static std::string quote(const std::string &field);
 
+    /** One record: quoted cells, comma-separated, newline-ended. */
+    static std::string formatRow(const std::vector<std::string> &cells);
+
   private:
     std::vector<std::string> headerCells;
     std::vector<std::vector<std::string>> rows;

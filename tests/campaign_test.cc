@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -44,6 +47,14 @@ struct ScratchFile
     }
     ~ScratchFile() { std::filesystem::remove(path); }
 };
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
 
 /** Clean single-frequency A15 dataset, shared across tests. */
 class CampaignFlow : public ::testing::Test
@@ -276,6 +287,65 @@ TEST_F(CampaignFlow, KilledCampaignResumesWithoutRemeasuring)
                         1e-8);
         }
     }
+}
+
+TEST_F(CampaignFlow, CheckpointAppendsRowsInPlace)
+{
+    ScratchFile checkpoint("gs_campaign_append_test.csv");
+
+    // An earlier session's checkpoint of the other cluster, plus one
+    // row the loader rejects: the next session's first append must
+    // keep the A7 rows and compact the bad row away.
+    CampaignConfig a7;
+    a7.checkpointPath = checkpoint.path;
+    a7.maxPoints = 3;
+    ExperimentRunner first = makeRunner();
+    CampaignEngine(first, a7)
+        .runValidation(hwsim::CpuCluster::LittleA7, {kFreq});
+    const std::string retained = readFile(checkpoint.path);
+    ASSERT_EQ(std::count(retained.begin(), retained.end(), '\n'), 4);
+    {
+        std::ofstream out(checkpoint.path, std::ios::app);
+        out << "mi-crc32,a15,1000.000,meh,1,0,0,0,0.5,1,60,1.1,0,"
+               "0.5,,ok\n";
+    }
+
+    // Snapshot the file as each point settles (the sink runs right
+    // after the point's append).
+    std::vector<std::string> snapshots, workloads;
+    std::vector<ino_t> inodes;
+    CampaignConfig a15;
+    a15.checkpointPath = checkpoint.path;
+    a15.maxPoints = 5;
+    a15.pointSink = [&](const CampaignPoint &point, std::size_t,
+                        std::size_t) {
+        struct stat st;
+        ASSERT_EQ(::stat(checkpoint.path.c_str(), &st), 0);
+        inodes.push_back(st.st_ino);
+        snapshots.push_back(readFile(checkpoint.path));
+        workloads.push_back(point.workload);
+    };
+    ExperimentRunner second = makeRunner();
+    CampaignEngine(second, a15)
+        .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+    ASSERT_EQ(snapshots.size(), 5u);
+
+    // After k appends: the same inode (no rewrite) holding the
+    // header, the retained rows and k one-line rows.
+    std::string expected = retained;
+    for (std::size_t k = 0; k < snapshots.size(); ++k) {
+        EXPECT_EQ(inodes[k], inodes[0])
+            << "append " << k + 1 << " replaced the file";
+        ASSERT_EQ(snapshots[k].compare(0, expected.size(), expected), 0)
+            << "append " << k + 1 << " changed earlier bytes";
+        const std::string row = snapshots[k].substr(expected.size());
+        ASSERT_FALSE(row.empty());
+        EXPECT_EQ(std::count(row.begin(), row.end(), '\n'), 1);
+        EXPECT_EQ(row.back(), '\n');
+        EXPECT_EQ(row.rfind(workloads[k] + ",a15,", 0), 0u) << row;
+        expected = snapshots[k];
+    }
+    EXPECT_EQ(readFile(checkpoint.path), expected);
 }
 
 TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -452,6 +453,78 @@ TEST(CancelCampaign, InterruptedCampaignResumesByteIdentical)
             << "jobs " << jobs;
         EXPECT_EQ(resumed.dataset.toCsv(), reference_csv)
             << "jobs " << jobs;
+    }
+}
+
+TEST(CancelCampaign, ResumeAfterKSettledPointsAtEveryTornOffset)
+{
+    // One runner serves every campaign below: fault plans are pure
+    // functions of (point, attempt) and base runs are memoised, so
+    // sharing it moves no output byte, only the time.
+    ExperimentRunner runner = makeFaultedRunner();
+    constexpr std::size_t kPoints = 4;
+    CampaignConfig plain;
+    plain.maxPoints = kPoints;
+    const std::string reference_csv =
+        CampaignEngine(runner, plain)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq})
+            .dataset.toCsv();
+
+    for (unsigned jobs : {1u, 4u}) {
+        for (std::size_t k : {std::size_t{1}, kPoints / 2, kPoints - 1}) {
+            const std::string where = "jobs " + std::to_string(jobs) +
+                                      " k " + std::to_string(k);
+            ScratchFile checkpoint("gs_cancel_k_resume_test.csv");
+            CampaignConfig policy = plain;
+            policy.jobs = jobs;
+            policy.checkpointPath = checkpoint.path;
+
+            // Cancel from the sink once k points have settled (and
+            // been appended): a deterministic cut, never an empty
+            // checkpoint. At jobs 4 points already in flight may
+            // still settle after it.
+            CampaignConfig interrupted = policy;
+            CancellationToken token;
+            interrupted.cancel = token;
+            std::atomic<std::size_t> settled{0};
+            interrupted.pointSink = [&](const CampaignPoint &,
+                                        std::size_t, std::size_t) {
+                if (settled.fetch_add(1) + 1 == k)
+                    token.requestCancel();
+            };
+            CampaignResult partial =
+                CampaignEngine(runner, interrupted)
+                    .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+            ASSERT_GE(partial.measuredPoints, k) << where;
+            if (jobs == 1) {
+                EXPECT_EQ(partial.measuredPoints, k) << where;
+                EXPECT_TRUE(partial.cancelled) << where;
+            }
+
+            // Tear the appended checkpoint at every byte offset of
+            // its last row; each resume must still collate the
+            // uninterrupted dataset byte for byte.
+            const std::string appended = readFile(checkpoint.path);
+            ASSERT_GE(appended.size(), 2u) << where;
+            ASSERT_EQ(appended.back(), '\n') << where;
+            const std::size_t last_row =
+                appended.rfind('\n', appended.size() - 2) + 1;
+            for (std::size_t cut = last_row; cut <= appended.size();
+                 ++cut) {
+                writeFileRaw(checkpoint.path, appended.substr(0, cut));
+                std::filesystem::remove(checkpoint.path + ".corrupt");
+                CampaignResult resumed =
+                    CampaignEngine(runner, policy)
+                        .runValidation(hwsim::CpuCluster::BigA15,
+                                       {kFreq});
+                const std::size_t torn = cut < appended.size() ? 1 : 0;
+                EXPECT_EQ(resumed.resumedPoints,
+                          partial.measuredPoints - torn)
+                    << where << " cut " << cut;
+                ASSERT_EQ(resumed.dataset.toCsv(), reference_csv)
+                    << where << " cut " << cut;
+            }
+        }
     }
 }
 

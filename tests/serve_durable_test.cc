@@ -23,6 +23,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -73,6 +74,14 @@ struct ScratchDir
         std::filesystem::remove_all(path, ec);
     }
 };
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
 
 /** A durable campaign small enough to finish in tens of ms. */
 serve::CampaignSpec
@@ -243,7 +252,7 @@ eventually(Predicate predicate)
     return predicate();
 }
 
-TEST(ServeDurableTest, JournalCodecRoundTripsAndFailsClosed)
+TEST(ServeDurableTest, JournalCodecKeepsLongestValidPrefix)
 {
     // Hex codec is exact and rejects junk.
     std::string bytes("\x00\x01\xfe\xff ok", 7);
@@ -263,57 +272,132 @@ TEST(ServeDurableTest, JournalCodecRoundTripsAndFailsClosed)
     EXPECT_FALSE(serve::validResumeToken("../../etc/passwd"));
     EXPECT_FALSE(serve::validResumeToken("gst1-NOTHEX"));
 
+    // Build a journal the way the daemon does: the header created
+    // atomically, then one appended line per settled point and one
+    // for the summary.
+    ScratchDir dir;
     serve::RequestJournal journal;
     journal.requestId = 42;
     journal.token = token;
     journal.specBytes = serve::encodeCampaignSpec(smallSpec(3));
-    journal.finished = true;
-    journal.points = {std::string("\x01\x02", 2), "payload"};
-    journal.summary = std::string("\x00summary", 8);
+    const std::string path = serve::journalPath(dir.path, token);
+    const std::vector<std::string> payloads = {
+        std::string("\x01\x02", 2), "payload",
+        std::string("\x00summary", 8)};
+    // record_end[r]: file size once record r is wholly written.
+    std::vector<std::size_t> record_end;
+    std::size_t header_end = 0;
+    {
+        AppendFile file;
+        ASSERT_TRUE(
+            serve::createRequestJournal(dir.path, journal, file).ok());
+        header_end = readFile(path).size();
+        std::size_t size = header_end;
+        for (std::size_t r = 0; r < payloads.size(); ++r) {
+            const std::string line = serve::encodeJournalLine(
+                r + 1 == payloads.size() ? "summary" : "point",
+                payloads[r]);
+            ASSERT_TRUE(file.append(line).ok());
+            size += line.size();
+            record_end.push_back(size);
+        }
+        ASSERT_TRUE(file.sync().ok());
+    }
+    const std::string content = readFile(path);
+    ASSERT_EQ(content.size(), record_end.back());
 
-    std::string content = serve::encodeRequestJournal(journal) +
-                          std::string(serve::kJournalMarker) + "\n";
+    // The decoded journal holds exactly the first @p whole records.
+    auto expect_prefix = [&](const serve::RequestJournal &parsed,
+                             std::size_t whole,
+                             const std::string &where) {
+        EXPECT_EQ(parsed.requestId, journal.requestId) << where;
+        EXPECT_EQ(parsed.token, journal.token) << where;
+        EXPECT_EQ(parsed.specBytes, journal.specBytes) << where;
+        const std::size_t points = std::min<std::size_t>(whole, 2);
+        EXPECT_EQ(parsed.points,
+                  std::vector<std::string>(payloads.begin(),
+                                           payloads.begin() + points))
+            << where;
+        EXPECT_EQ(parsed.finished, whole == 3) << where;
+        EXPECT_EQ(parsed.summary, whole == 3 ? payloads[2] : "")
+            << where;
+    };
     serve::RequestJournal parsed;
     ASSERT_TRUE(serve::decodeRequestJournal(content, parsed));
-    EXPECT_EQ(parsed.requestId, journal.requestId);
-    EXPECT_EQ(parsed.token, journal.token);
-    EXPECT_EQ(parsed.specBytes, journal.specBytes);
-    EXPECT_EQ(parsed.finished, journal.finished);
-    EXPECT_EQ(parsed.points, journal.points);
-    EXPECT_EQ(parsed.summary, journal.summary);
+    expect_prefix(parsed, 3, "intact");
 
-    // A journal torn at any byte offset never decodes: the integrity
-    // marker is the last line, so every strict prefix fails closed.
-    for (std::size_t cut = 0; cut < content.size(); ++cut) {
+    // Torn at any byte offset: a cut inside the atomically created
+    // header cannot happen and does not decode; any later cut yields
+    // exactly the records wholly written before it, never a partial
+    // payload.
+    for (std::size_t cut = 0; cut <= content.size(); ++cut) {
         serve::RequestJournal partial;
-        EXPECT_FALSE(serve::decodeRequestJournal(
-            content.substr(0, cut), partial))
-            << "prefix of " << cut << " bytes decoded";
+        bool decoded_ok =
+            serve::decodeRequestJournal(content.substr(0, cut), partial);
+        if (cut < header_end) {
+            EXPECT_FALSE(decoded_ok) << "header cut at " << cut;
+            continue;
+        }
+        ASSERT_TRUE(decoded_ok) << "cut at " << cut;
+        std::size_t whole = 0;
+        while (whole < record_end.size() && record_end[whole] <= cut)
+            ++whole;
+        expect_prefix(partial, whole, "cut at " + std::to_string(cut));
     }
-    // Unknown keys are a format change, not noise to skip.
-    serve::RequestJournal rejected;
-    EXPECT_FALSE(serve::decodeRequestJournal(
-        "gemstone-journal v1\nrequest 1\ntoken " + token +
-            "\nstatus running\nspec 00\nfuturekey 1\n#end\n",
-        rejected));
 
-    // Save / scan round trip; a corrupt sibling is skipped with a
-    // warning, never trusted and never fatal.
-    ScratchDir dir;
-    journal.finished = false;
-    journal.summary.clear();
-    ASSERT_TRUE(serve::saveRequestJournal(dir.path, journal).ok());
-    std::string bad_token = serve::makeResumeToken(43);
+    // One flipped byte anywhere inside record r (payload, checksum,
+    // separators, newline) drops r and every record after it.
+    for (std::size_t r = 0; r < record_end.size(); ++r) {
+        const std::size_t begin = r == 0 ? header_end : record_end[r - 1];
+        for (std::size_t at = begin; at < record_end[r]; ++at) {
+            for (char mask : {'\x01', '\x20', '\x80'}) {
+                std::string damaged = content;
+                damaged[at] = static_cast<char>(damaged[at] ^ mask);
+                serve::RequestJournal partial;
+                ASSERT_TRUE(serve::decodeRequestJournal(damaged, partial));
+                expect_prefix(partial, r,
+                              "flip at " + std::to_string(at));
+            }
+        }
+    }
+
+    // An unknown record key is a format change, not noise to skip:
+    // the valid prefix ends before it.
+    serve::RequestJournal rejected;
+    const std::string header = content.substr(0, header_end);
+    ASSERT_TRUE(serve::decodeRequestJournal(
+        header + serve::encodeJournalLine("futurekey", "x") +
+            serve::encodeJournalLine("point", "late"),
+        rejected));
+    EXPECT_TRUE(rejected.points.empty());
+
+    // Directory scan: a v1 journal is dropped (removed, with a
+    // warning naming its token) and a malformed v2 one is skipped
+    // with a warning — never trusted and never fatal.
+    std::string v1_token = serve::makeResumeToken(43);
+    std::ofstream(serve::journalPath(dir.path, v1_token))
+        << "gemstone-journal v1\nrequest 43\ntoken " << v1_token
+        << "\nstatus running\nspec 00\n#end\n";
+    std::string bad_token = serve::makeResumeToken(44);
     std::ofstream(serve::journalPath(dir.path, bad_token))
-        << "gemstone-journal v1\nrequest 43\ngarbage";
+        << "gemstone-journal v2\nrequest 44\ngarbage\n";
     std::vector<std::string> warnings;
     Result<std::vector<serve::RequestJournal>> loaded =
         serve::loadJournalDir(dir.path, warnings);
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     ASSERT_EQ(loaded.value().size(), 1u);
-    EXPECT_EQ(loaded.value()[0].requestId, 42u);
-    EXPECT_EQ(loaded.value()[0].points, journal.points);
-    EXPECT_EQ(warnings.size(), 1u);
+    expect_prefix(loaded.value()[0], 3, "loaded");
+    ASSERT_EQ(warnings.size(), 2u);
+    EXPECT_NE(std::find_if(warnings.begin(), warnings.end(),
+                           [&](const std::string &w) {
+                               return w.find("v1") != std::string::npos &&
+                                   w.find(v1_token) != std::string::npos;
+                           }),
+              warnings.end());
+    EXPECT_FALSE(std::filesystem::exists(
+        serve::journalPath(dir.path, v1_token)));
+    EXPECT_TRUE(std::filesystem::exists(
+        serve::journalPath(dir.path, bad_token)));
 
     // Retire removes the journal and its checkpoint artifacts.
     ASSERT_TRUE(
@@ -541,8 +625,12 @@ TEST(ServeDurableTest, UnfinishedJournalIsReadmittedAtBoot)
     journal.requestId = 7;
     journal.token = serve::makeResumeToken(7);
     journal.specBytes = serve::encodeCampaignSpec(spec);
-    ASSERT_TRUE(
-        serve::saveRequestJournal(journal_dir.path, journal).ok());
+    {
+        AppendFile file;
+        ASSERT_TRUE(serve::createRequestJournal(journal_dir.path,
+                                                journal, file)
+                        .ok());
+    }
 
     // A sibling journal left by a protocol v3 daemon: its spec no
     // longer decodes, so boot drops it with a warning instead of
@@ -554,8 +642,19 @@ TEST(ServeDurableTest, UnfinishedJournalIsReadmittedAtBoot)
     v3_header.u32(3);
     stale.specBytes = v3_header.take() + journal.specBytes.substr(4) +
                       std::string(1, '\1');
-    ASSERT_TRUE(
-        serve::saveRequestJournal(journal_dir.path, stale).ok());
+    {
+        AppendFile file;
+        ASSERT_TRUE(serve::createRequestJournal(journal_dir.path,
+                                                stale, file)
+                        .ok());
+    }
+    // And one left by a daemon that still wrote v1 journals: dropped
+    // with a warning, and the daemon boots regardless.
+    const std::string v1_token = serve::makeResumeToken(9);
+    std::ofstream(serve::journalPath(journal_dir.path, v1_token))
+        << "gemstone-journal v1\nrequest 9\ntoken " << v1_token
+        << "\nstatus running\nspec "
+        << serve::hexEncode(journal.specBytes) << "\n#end\n";
 
     DaemonFixture daemon;
     daemon.config.journalDir = journal_dir.path;
@@ -563,6 +662,8 @@ TEST(ServeDurableTest, UnfinishedJournalIsReadmittedAtBoot)
     EXPECT_EQ(daemon.server->statsSnapshot().requestsRecovered, 1u);
     EXPECT_FALSE(std::filesystem::exists(
         serve::journalPath(journal_dir.path, stale.token)));
+    EXPECT_FALSE(std::filesystem::exists(
+        serve::journalPath(journal_dir.path, v1_token)));
 
     // The recovered campaign runs with no client at all; a late
     // attach under the original token gets the full stream.
