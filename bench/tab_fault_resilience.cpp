@@ -20,9 +20,9 @@
  * same path a SIGTERM takes, see util/signals.hh), resumes it from
  * the checkpoint, and shows the resumed collated dataset is
  * byte-identical to an uninterrupted campaign's — at one job and at
- * a full thread pool alike. How many points the interrupt abandoned
- * depends on thread timing at a full pool, so that count goes to
- * stderr and stdout stays deterministic.
+ * four alike. How many points the interrupt abandoned depends on
+ * thread timing at four jobs, so that count goes to stderr and stdout
+ * stays deterministic.
  */
 
 #include <atomic>
@@ -184,11 +184,10 @@ main()
 
         TextTable r({"jobs", "interrupted", "byte-identical"});
         bool all_identical = true;
-        // At least four threads even on a single-core box, so the
-        // multi-threaded resume path is always exercised.
-        for (unsigned jobs :
-             {1u, std::max(4u,
-                           exec::ThreadPool::defaultThreadCount())}) {
+        // A fixed job set, so the table reads the same on every
+        // host; four threads exercise the multi-threaded resume path
+        // even on a single-core box.
+        for (unsigned jobs : {1u, 4u}) {
             bool interrupted = false;
             unsigned cancelled = 0;
             CampaignResult resumed = interruptedThenResumed(

@@ -23,9 +23,11 @@
  * timings and the PMC map — rendered with round-trip-exact doubles,
  * so a resumed campaign collates a dataset byte-identical to the
  * uninterrupted one. The file is created atomically, then each point
- * appends one row in place and fdatasyncs it; on load, a torn final
- * row is quarantined to a `.corrupt` sidecar and resume continues
- * from the last good row. Fault decisions are pure functions of
+ * appends one row in place at once; rows are fdatasynced every 32
+ * rows and when the campaign returns, since a row lost to a power cut
+ * costs only its re-measurement. On load, a torn or zeroed final row
+ * is quarantined to a `.corrupt` sidecar and resume continues from
+ * the last good row. Fault decisions are pure functions of
  * (point, attempt) — see hwsim/faults.hh — so a resumed campaign
  * observes exactly the faults the uninterrupted one would have.
  *

@@ -5,6 +5,7 @@
 
 #include "util/atomicfile.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,8 @@
 namespace gemstone {
 
 namespace {
+
+std::atomic<std::uint64_t> appendSyncs{0};
 
 /** fsync a path; best effort on platforms without it. */
 bool
@@ -143,6 +146,7 @@ AppendFile::append(const std::string &bytes)
 Status
 AppendFile::sync()
 {
+    appendSyncs.fetch_add(1, std::memory_order_relaxed);
     if (::fdatasync(fd) != 0) {
         Status failed = Status::error(StatusCode::IoError,
                                       "cannot fdatasync " + filePath +
@@ -151,6 +155,12 @@ AppendFile::sync()
         return failed;
     }
     return Status::okStatus();
+}
+
+std::uint64_t
+appendSyncCount()
+{
+    return appendSyncs.load(std::memory_order_relaxed);
 }
 
 void

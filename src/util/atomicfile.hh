@@ -23,6 +23,7 @@
 #define GEMSTONE_UTIL_ATOMICFILE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -83,6 +84,10 @@ class AppendFile
     int fd = -1;
     std::string filePath;
 };
+
+/** AppendFile::sync() calls so far, process-wide (a count, so a test
+ *  can bound the syncs a writer makes without timing it). */
+std::uint64_t appendSyncCount();
 
 /** Outcome of a tail-recovery pass over an append-style CSV. */
 struct TailRecovery

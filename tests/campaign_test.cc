@@ -18,6 +18,7 @@
 #include "gemstone/campaign.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
+#include "util/atomicfile.hh"
 #include "util/logging.hh"
 
 using namespace gemstone;
@@ -239,7 +240,7 @@ TEST_F(CampaignFlow, KilledCampaignResumesWithoutRemeasuring)
     policy.checkpointPath = checkpoint.path;
 
     // First campaign dies after 10 points (emulating a kill: the
-    // checkpoint is appended and flushed per point).
+    // checkpoint is appended per point).
     CampaignConfig partial = policy;
     partial.maxPoints = 10;
     ExperimentRunner first = makeRunner();
@@ -346,6 +347,36 @@ TEST_F(CampaignFlow, CheckpointAppendsRowsInPlace)
         expected = snapshots[k];
     }
     EXPECT_EQ(readFile(checkpoint.path), expected);
+}
+
+TEST_F(CampaignFlow, CheckpointSyncsOncePerBatchOfRows)
+{
+    // A row lost to a power cut costs one re-measurement, so the
+    // writer syncs once per batch of 32 in-place rows and once at
+    // close, not once per row. The count depends on the row count
+    // alone, never on the thread count.
+    ExperimentRunner runner = makeRunner();
+    std::vector<std::uint64_t> syncs;
+    for (unsigned jobs : {1u, 4u}) {
+        ScratchFile checkpoint("gs_campaign_sync_count_test.csv");
+        CampaignConfig policy;
+        policy.checkpointPath = checkpoint.path;
+        policy.jobs = jobs;
+        const std::uint64_t before = appendSyncCount();
+        CampaignResult result =
+            CampaignEngine(runner, policy)
+                .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+        syncs.push_back(appendSyncCount() - before);
+
+        const std::string written = readFile(checkpoint.path);
+        const std::size_t rows =
+            std::count(written.begin(), written.end(), '\n') - 1;
+        ASSERT_EQ(rows, result.points.size()) << "jobs " << jobs;
+        ASSERT_GT(rows, 32u);
+        EXPECT_GE(syncs.back(), 1u) << "jobs " << jobs;
+        EXPECT_LE(syncs.back(), (rows + 31) / 32 + 1) << "jobs " << jobs;
+    }
+    EXPECT_EQ(syncs[0], syncs[1]);
 }
 
 TEST_F(CampaignFlow, CorruptCheckpointIsReportedAndRerun)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -525,6 +526,64 @@ TEST(CancelCampaign, ResumeAfterKSettledPointsAtEveryTornOffset)
                     << where << " cut " << cut;
             }
         }
+    }
+}
+
+TEST(CancelCampaign, ResumeAfterLosingUnsyncedRows)
+{
+    // The checkpoint syncs once per batch of rows, so a power cut can
+    // drop its last rows whole, or leave the last one reading back as
+    // NULs (the file grew, its data never reached the disk). Either
+    // way each lost row is re-measured, and the resume collates the
+    // uninterrupted dataset byte for byte.
+    ExperimentRunner runner = makeFaultedRunner();
+    constexpr std::size_t kPoints = 6;
+    CampaignConfig plain;
+    plain.maxPoints = kPoints;
+    const std::string reference_csv =
+        CampaignEngine(runner, plain)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq})
+            .dataset.toCsv();
+
+    for (unsigned jobs : {1u, 4u}) {
+        ScratchFile checkpoint("gs_cancel_lost_rows_test.csv");
+        CampaignConfig policy = plain;
+        policy.jobs = jobs;
+        policy.checkpointPath = checkpoint.path;
+        CampaignEngine(runner, policy)
+            .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+        const std::string finished = readFile(checkpoint.path);
+        ASSERT_EQ(std::count(finished.begin(), finished.end(), '\n'),
+                  static_cast<long>(kPoints + 1))
+            << "jobs " << jobs;
+
+        auto resume = [&](const std::string &damaged,
+                          std::size_t lost, const std::string &where) {
+            writeFileRaw(checkpoint.path, damaged);
+            std::filesystem::remove(checkpoint.path + ".corrupt");
+            CampaignResult resumed =
+                CampaignEngine(runner, policy)
+                    .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
+            EXPECT_EQ(resumed.resumedPoints, kPoints - lost) << where;
+            EXPECT_EQ(resumed.measuredPoints, lost) << where;
+            EXPECT_EQ(resumed.dataset.toCsv(), reference_csv) << where;
+        };
+
+        // Drop the last k rows at a row boundary.
+        std::size_t end = finished.size();
+        for (std::size_t k = 1; k <= 3; ++k) {
+            end = finished.rfind('\n', end - 2) + 1;
+            resume(finished.substr(0, end), k,
+                   "jobs " + std::to_string(jobs) + " lost " +
+                       std::to_string(k));
+        }
+
+        // The last row's bytes, newline included, read back as NULs.
+        const std::size_t last_row =
+            finished.rfind('\n', finished.size() - 2) + 1;
+        std::string zeroed = finished;
+        std::fill(zeroed.begin() + last_row, zeroed.end(), '\0');
+        resume(zeroed, 1, "jobs " + std::to_string(jobs) + " zeroed");
     }
 }
 

@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -675,6 +676,129 @@ TEST(ServeDurableTest, UnfinishedJournalIsReadmittedAtBoot)
     EXPECT_EQ(result.requestId, journal.requestId);
     EXPECT_EQ(result.summary.outcome, serve::RequestOutcome::Ok);
     EXPECT_EQ(result.summary.datasetCsv, expected);
+    daemon.stop();
+}
+
+TEST(ServeDurableTest, JournaledPointsMissingFromCheckpointAreRemeasured)
+{
+    // The journal is synced before any frame reaches a client, the
+    // checkpoint only once per batch of rows: after a power cut the
+    // journal can hold points whose checkpoint rows were lost. The
+    // recovered request re-measures them, streams none of them twice,
+    // and still serves the uninterrupted run's bytes.
+    serve::CampaignSpec spec = smallSpec(43);
+    std::string expected = referenceCsv(spec);
+    ScratchDir journal_dir;
+
+    // An uninterrupted run, finished and never claimed: its journal
+    // holds the reference stream, its checkpoint every row.
+    std::string token;
+    {
+        DaemonFixture daemon;
+        daemon.config.journalDir = journal_dir.path;
+        daemon.start();
+        RawConn conn;
+        conn.connectUnix(daemon.socketPath);
+        ASSERT_TRUE(conn.send(exec::FrameType::SubmitCampaign,
+                              serve::encodeCampaignSpec(spec)));
+        exec::Frame frame;
+        ASSERT_TRUE(conn.readUntil(exec::FrameType::Accepted, frame));
+        serve::Accepted accepted;
+        ASSERT_TRUE(serve::decodeAccepted(frame.payload, accepted));
+        token = accepted.token;
+        conn.close();
+        ASSERT_TRUE(eventually([&] {
+            return daemon.server->statsSnapshot().requestsServed == 1;
+        }));
+        daemon.stop();
+    }
+    serve::RequestJournal reference;
+    ASSERT_TRUE(serve::decodeRequestJournal(
+        readFile(serve::journalPath(journal_dir.path, token)),
+        reference));
+    ASSERT_TRUE(reference.finished);
+    const std::size_t count = reference.points.size();
+    ASSERT_EQ(count, spec.maxPoints);
+
+    // Roll both files back to a power cut: the journal lost its
+    // summary and last point; the checkpoint lost that point's row
+    // and the rows of the two points journaled before it.
+    serve::RequestJournal crashed = reference;
+    crashed.finished = false;
+    crashed.summary.clear();
+    crashed.points.pop_back();
+    std::set<std::string> kept;
+    for (std::size_t i = 0; i + 2 < crashed.points.size(); ++i) {
+        serve::PointUpdate update;
+        ASSERT_TRUE(serve::decodePointUpdate(crashed.points[i], update));
+        kept.insert(update.workload);
+    }
+    {
+        AppendFile file;
+        ASSERT_TRUE(serve::createRequestJournal(journal_dir.path,
+                                                crashed, file)
+                        .ok());
+    }
+    const std::string ckpt_path =
+        serve::journalCheckpointPath(journal_dir.path, token);
+    const std::string full_ckpt = readFile(ckpt_path);
+    std::string cut_ckpt;
+    std::size_t rows = 0;
+    for (std::size_t begin = 0; begin < full_ckpt.size();) {
+        const std::size_t end = full_ckpt.find('\n', begin) + 1;
+        const std::string line = full_ckpt.substr(begin, end - begin);
+        if (begin == 0 || kept.count(line.substr(0, line.find(',')))) {
+            cut_ckpt += line;
+            rows += begin == 0 ? 0 : 1;
+        }
+        begin = end;
+    }
+    ASSERT_EQ(rows, kept.size());
+    {
+        std::ofstream out(ckpt_path, std::ios::binary | std::ios::trunc);
+        out << cut_ckpt;
+    }
+
+    DaemonFixture daemon;
+    daemon.config.journalDir = journal_dir.path;
+    daemon.start();
+    EXPECT_EQ(daemon.server->statsSnapshot().requestsRecovered, 1u);
+
+    RawConn conn;
+    conn.connectUnix(daemon.socketPath);
+    ASSERT_TRUE(conn.send(exec::FrameType::Attach,
+                          serve::encodeAttachRequest({token})));
+    exec::Frame frame;
+    ASSERT_TRUE(conn.readUntil(exec::FrameType::Resumed, frame));
+    std::vector<std::string> streamed;
+    serve::Summary summary;
+    for (;;) {
+        ASSERT_TRUE(conn.read(frame));
+        if (frame.type == exec::FrameType::PointResult) {
+            streamed.push_back(frame.payload);
+            continue;
+        }
+        if (frame.type == exec::FrameType::Summary) {
+            ASSERT_TRUE(serve::decodeSummary(frame.payload, summary));
+            break;
+        }
+        ASSERT_EQ(frame.type, exec::FrameType::Progress);
+    }
+
+    // The journal's points replay first, in order; the one point it
+    // lacked follows once. As a set the stream is the reference's.
+    ASSERT_EQ(streamed.size(), count);
+    for (std::size_t i = 0; i < crashed.points.size(); ++i)
+        EXPECT_EQ(streamed[i], crashed.points[i]) << "point " << i;
+    std::vector<std::string> expected_points = reference.points;
+    std::sort(streamed.begin(), streamed.end());
+    std::sort(expected_points.begin(), expected_points.end());
+    EXPECT_EQ(streamed, expected_points);
+
+    EXPECT_EQ(summary.outcome, serve::RequestOutcome::Ok);
+    EXPECT_EQ(summary.resumedPoints, kept.size());
+    EXPECT_EQ(summary.measuredPoints, count - kept.size());
+    EXPECT_EQ(summary.datasetCsv, expected);
     daemon.stop();
 }
 
