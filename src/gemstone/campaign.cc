@@ -12,8 +12,7 @@
 #include <map>
 #include <mutex>
 
-#include "exec/taskgraph.hh"
-#include "exec/threadpool.hh"
+#include "gemstone/pointgraph.hh"
 #include "hwsim/faults.hh"
 #include "mlstat/descriptive.hh"
 #include "mlstat/robust.hh"
@@ -212,11 +211,6 @@ CampaignPoint::converged() const
         status == PointStatus::Resumed;
 }
 
-struct CampaignEngine::CheckpointRow
-{
-    CampaignPoint point;
-};
-
 CampaignEngine::CampaignEngine(ExperimentRunner &runner,
                                const CampaignConfig &config)
     : experimentRunner(runner), campaignConfig(config)
@@ -298,12 +292,12 @@ parseRepeatsField(const std::string &text, std::vector<double> &out)
 
 } // namespace
 
-std::vector<CampaignEngine::CheckpointRow>
+std::map<std::string, CampaignPoint>
 CampaignEngine::loadCheckpoint(
     hwsim::CpuCluster cluster, CampaignResult &result,
     std::vector<std::vector<std::string>> &retained) const
 {
-    std::vector<CheckpointRow> rows;
+    std::map<std::string, CampaignPoint> rows;
     if (campaignConfig.checkpointPath.empty() ||
         !campaignConfig.resume ||
         !std::filesystem::exists(campaignConfig.checkpointPath)) {
@@ -419,7 +413,8 @@ CampaignEngine::loadCheckpoint(
         if (reader.cell(i, "cluster") != tag)
             continue;
         point.cluster = cluster;
-        rows.push_back({point});
+        // A later row of the same point wins.
+        rows[pointKey(point.workload, point.freqMhz)] = point;
     }
     for (const std::string &error : reader.errorStrings()) {
         // Structural problems (bad arity etc.) not already surfaced.
@@ -628,167 +623,98 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
     result.dataset.g5Version = experimentRunner.config().g5Version;
     result.dataset.freqsMhz = freqs_mhz;
 
-    // Index the checkpoint by point key. Valid rows of any cluster
-    // are retained verbatim so the writer's create preserves them.
+    // Valid rows of any cluster are retained verbatim so the writer's
+    // create preserves them.
     std::vector<std::vector<std::string>> retained;
-    std::map<std::string, CampaignPoint> finished;
-    for (const CheckpointRow &row :
-         loadCheckpoint(cluster, result, retained)) {
-        finished[pointKey(row.point.workload, row.point.freqMhz)] =
-            row.point;
-    }
+    const std::map<std::string, CampaignPoint> finished =
+        loadCheckpoint(cluster, result, retained);
 
-    // Enumerate the campaign's points in canonical order, truncated
-    // at maxPoints (an emulated kill). Everything downstream indexes
-    // into this list, so the collated output order never depends on
-    // which worker finished first.
-    struct PointTask
-    {
-        const workload::Workload *work = nullptr;
-        double freq = 0.0;
-        const CampaignPoint *resumed = nullptr;  //!< checkpoint hit
-    };
-    std::vector<PointTask> tasks;
-    bool truncated = false;
-    for (const workload::Workload *work :
-         workload::Suite::validationSet()) {
-        for (double freq : freqs_mhz) {
-            if (campaignConfig.maxPoints != 0 &&
-                tasks.size() >= campaignConfig.maxPoints) {
-                truncated = true;
-                break;
-            }
-            PointTask task;
-            task.work = work;
-            task.freq = freq;
-            auto it = finished.find(pointKey(work->name, freq));
-            if (it != finished.end())
-                task.resumed = &it->second;
-            tasks.push_back(task);
-        }
-        if (truncated)
-            break;
-    }
-
-    const std::size_t count = tasks.size();
+    // The campaign's points in canonical order, truncated at maxPoints
+    // (an emulated kill). Everything downstream indexes into this
+    // plan, so the collated output order never depends on which
+    // worker finished first.
+    PointPlan plan(workload::Suite::validationSet(), freqs_mhz,
+                   campaignConfig.maxPoints);
+    const std::size_t count = plan.points.size();
     std::vector<CampaignPoint> points(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        PlannedPoint &entry = plan.points[i];
+        points[i].workload = entry.work->name;
+        points[i].cluster = cluster;
+        points[i].freqMhz = entry.freqMhz;
+        entry.resumed =
+            finished.contains(pointKey(entry.work->name, entry.freqMhz));
+    }
     std::vector<ValidationRecord> records(count);
     std::vector<std::vector<std::string>> pointWarnings(count);
-    /** Final pipeline node per point; settles the point's fate. */
-    std::vector<exec::TaskGraph::NodeId> finalNode(count);
     CheckpointWriter checkpoint(campaignConfig.checkpointPath,
                                 retained);
 
     // One pipeline per point: characterise-HW → run-g5 →
-    // collate/checkpoint. Node ids ascend in campaign order, so
-    // runSerial() reproduces the historical execution order exactly
-    // and run() rethrows deterministically on failure.
+    // collate/checkpoint, or one resume node for a restored point.
+    PointBodies bodies;
+    bodies.hw = [this, &plan, &points, &records, &pointWarnings,
+                 cluster](std::size_t i) {
+        const PlannedPoint &entry = plan.points[i];
+        measurePoint(*entry.work, cluster, entry.freqMhz, points[i],
+                     records[i], pointWarnings[i]);
+    };
+    bodies.g5 = [this, &plan, &records, cluster](std::size_t i) {
+        // Unconditional: a non-converged point's record is discarded
+        // at collation, so simulating it is output-invisible (and the
+        // result is memoised for the eventual successful rerun).
+        const PlannedPoint &entry = plan.points[i];
+        records[i].g5 =
+            experimentRunner.runG5(*entry.work, cluster, entry.freqMhz);
+    };
+    bodies.collate = [this, &points, &checkpoint, count](std::size_t i) {
+        checkpoint.append(points[i]);
+        if (campaignConfig.pointSink)
+            campaignConfig.pointSink(points[i], i, count);
+    };
+    bodies.resume = [this, &plan, &finished, &points, &records, cluster,
+                     count](std::size_t i) {
+        // Restored from the checkpoint: never re-measured; only a
+        // converged point needs its g5 twin re-simulated. A recorded
+        // failure stays excluded and keeps its original tag.
+        const PlannedPoint &entry = plan.points[i];
+        CampaignPoint point =
+            finished.at(pointKey(entry.work->name, entry.freqMhz));
+        if (point.converged()) {
+            point.status = PointStatus::Resumed;
+            ValidationRecord &record = records[i];
+            record.work = entry.work;
+            record.cluster = cluster;
+            record.freqMhz = entry.freqMhz;
+            record.hw.workload = entry.work->name;
+            record.hw.cluster = cluster;
+            record.hw.freqMhz = entry.freqMhz;
+            record.hw.voltage = point.voltage;
+            record.hw.execSeconds = point.execSeconds;
+            // The v2 checkpoint carries the surviving repeats and the
+            // PMC medians bit-exactly; the rebuilt record matches
+            // what the uninterrupted campaign collated.
+            record.hw.repeatSeconds = point.repeatSeconds;
+            if (record.hw.repeatSeconds.empty())
+                record.hw.repeatSeconds = {point.execSeconds};
+            record.hw.pmc = point.pmc;
+            record.hw.powerWatts = point.powerWatts;
+            record.hw.temperatureC = point.temperatureC;
+            record.hw.throttled = point.throttled;
+            record.g5 = experimentRunner.runG5(*entry.work, cluster,
+                                               entry.freqMhz);
+        }
+        points[i] = std::move(point);
+        if (campaignConfig.pointSink)
+            campaignConfig.pointSink(points[i], i, count);
+    };
     exec::TaskGraph graph;
-
-    // The first measured point of each workload computes its two
-    // 1.0 GHz base runs (hardware shape and g5 twin); the hw and g5
-    // nodes of the workload's later points depend on it, so they
-    // retime filled slots instead of blocking pool threads on the
-    // once-flags. The once-flags stay the correctness guard: the
-    // edge only orders the work (DESIGN.md §10).
-    std::vector<exec::TaskGraph::NodeId> hw_base, g5_base;
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const PointTask &task = tasks[i];
-        const std::string label = pointKey(task.work->name, task.freq);
-        if (i > 0 && tasks[i - 1].work != task.work) {
-            hw_base.clear();
-            g5_base.clear();
-        }
-        if (task.resumed != nullptr) {
-            // Restored from the checkpoint: never re-measured; only
-            // a converged point needs its g5 twin re-simulated.
-            finalNode[i] = graph.add(
-                "resume:" + label,
-                [this, &task, &points, &records, cluster, i, count] {
-                    CampaignPoint point = *task.resumed;
-                    bool was_converged = point.converged();
-                    point.status = PointStatus::Resumed;
-                    if (!was_converged) {
-                        // A recorded failure stays excluded; keep
-                        // its original tag in the report.
-                        point.status = task.resumed->status;
-                    } else {
-                        ValidationRecord &record = records[i];
-                        record.work = task.work;
-                        record.cluster = cluster;
-                        record.freqMhz = task.freq;
-                        record.hw.workload = task.work->name;
-                        record.hw.cluster = cluster;
-                        record.hw.freqMhz = task.freq;
-                        record.hw.voltage = point.voltage;
-                        record.hw.execSeconds = point.execSeconds;
-                        // The v2 checkpoint carries the surviving
-                        // repeats and the PMC medians bit-exactly;
-                        // the rebuilt record matches what the
-                        // uninterrupted campaign collated.
-                        record.hw.repeatSeconds = point.repeatSeconds;
-                        if (record.hw.repeatSeconds.empty()) {
-                            record.hw.repeatSeconds = {
-                                point.execSeconds};
-                        }
-                        record.hw.pmc = point.pmc;
-                        record.hw.powerWatts = point.powerWatts;
-                        record.hw.temperatureC = point.temperatureC;
-                        record.hw.throttled = point.throttled;
-                        record.g5 = experimentRunner.runG5(
-                            *task.work, cluster, task.freq);
-                    }
-                    points[i] = std::move(point);
-                    if (campaignConfig.pointSink)
-                        campaignConfig.pointSink(points[i], i, count);
-                });
-            continue;
-        }
-        exec::TaskGraph::NodeId hw_node = graph.add(
-            "hw:" + label,
-            [this, &task, &points, &records, &pointWarnings, cluster,
-             i] {
-                CampaignPoint &point = points[i];
-                point.workload = task.work->name;
-                point.cluster = cluster;
-                point.freqMhz = task.freq;
-                measurePoint(*task.work, cluster, task.freq, point,
-                             records[i], pointWarnings[i]);
-            },
-            hw_base);
-        exec::TaskGraph::NodeId g5_node = graph.add(
-            "g5:" + label, [this, &task, &records, cluster, i] {
-                // Unconditional: a non-converged point's record is
-                // discarded at collation, so simulating it is
-                // output-invisible (and the result is memoised for
-                // the eventual successful rerun).
-                records[i].g5 = experimentRunner.runG5(
-                    *task.work, cluster, task.freq);
-            },
-            g5_base);
-        if (hw_base.empty()) {
-            hw_base = {hw_node};
-            g5_base = {g5_node};
-        }
-        finalNode[i] = graph.add(
-            "collate:" + label,
-            [this, &points, &checkpoint, i, count] {
-                checkpoint.append(points[i]);
-                if (campaignConfig.pointSink)
-                    campaignConfig.pointSink(points[i], i, count);
-            },
-            {hw_node, g5_node});
-    }
+    /** Final node per point; settles the point's fate. */
+    const std::vector<exec::TaskGraph::NodeId> finalNode =
+        addPointGraph(graph, plan, bodies);
 
     try {
-        if (campaignConfig.jobs <= 1) {
-            graph.runSerial(campaignConfig.cancel);
-        } else {
-            exec::ThreadPool pool(campaignConfig.jobs);
-            pool.setCancellationToken(campaignConfig.cancel);
-            graph.run(pool, campaignConfig.cancel);
-        }
+        runPointGraph(graph, campaignConfig.jobs, campaignConfig.cancel);
     } catch (const CancelledError &) {
         // The graph settled (every in-flight node drained) before
         // throwing: finished points are checkpointed, abandoned ones
@@ -809,21 +735,13 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
             // pipeline was abandoned somewhere before its final
             // node, so its checkpoint row was never written and the
             // resume will take it from the top.
-            point.workload = tasks[i].work->name;
-            point.cluster = cluster;
-            point.freqMhz = tasks[i].freq;
             point.status = PointStatus::Cancelled;
             point.lastError = StatusCode::Cancelled;
             ++result.cancelledPoints;
             result.points.push_back(std::move(point));
             continue;
         }
-        if (tasks[i].resumed != nullptr) {
-            if (!point.converged())
-                ++result.excludedPoints;
-            else
-                result.dataset.records.push_back(
-                    std::move(records[i]));
+        if (plan.points[i].resumed) {
             ++result.resumedPoints;
         } else {
             ++result.measuredPoints;
@@ -832,16 +750,15 @@ CampaignEngine::runValidation(hwsim::CpuCluster cluster,
             result.totalDeadlineFailures += point.deadlineFailures;
             result.totalRejected += point.rejected;
             result.backoffSeconds += point.backoffSeconds;
-            if (point.converged())
-                result.dataset.records.push_back(
-                    std::move(records[i]));
-            else
-                ++result.excludedPoints;
         }
+        if (point.converged())
+            result.dataset.records.push_back(std::move(records[i]));
+        else
+            ++result.excludedPoints;
         result.points.push_back(std::move(point));
     }
 
-    if (truncated) {
+    if (plan.truncated) {
         result.complete = false;
         inform("campaign stopped after ", result.points.size(),
                " points (maxPoints)");

@@ -39,11 +39,12 @@
  * measurement into a structured deadline_exceeded failure feeding
  * the same retry/backoff machinery as an injected fault.
  *
- * Campaigns run on the execution engine (src/exec/): every point is
- * a task pipeline (characterise-HW → run-g5 → collate/checkpoint) on
- * a TaskGraph, executed serially for jobs == 1 or on a work-stealing
- * pool otherwise, with byte-identical results either way — see
- * CampaignConfig::jobs.
+ * Campaigns run on the point graph (gemstone/pointgraph.hh), the
+ * one the runner's experiment loops use: every measured point is a
+ * task pipeline (characterise-HW → run-g5 → collate/checkpoint) and
+ * every restored point one resume node, executed serially for
+ * jobs == 1 or on a work-stealing pool otherwise, with byte-identical
+ * results either way — see CampaignConfig::jobs.
  */
 
 #ifndef GEMSTONE_GEMSTONE_CAMPAIGN_HH
@@ -243,8 +244,6 @@ class CampaignEngine
     const CampaignConfig &config() const { return campaignConfig; }
 
   private:
-    struct CheckpointRow;
-
     /**
      * Measure one point to convergence (hardware side only; the g5
      * run is a separate task). Fills @p point and, when converged,
@@ -262,12 +261,12 @@ class CampaignEngine
 
     /**
      * Load checkpointed points for a cluster after quarantining any
-     * torn tail; returns rows keyed by "workload@freq". Parse
+     * torn tail; returns them keyed by "workload@freq". Parse
      * problems become result warnings. @p retained receives the raw
      * cells of every valid row of *any* cluster, so the rewriting
      * checkpoint writer can preserve them across saves.
      */
-    std::vector<CheckpointRow> loadCheckpoint(
+    std::map<std::string, CampaignPoint> loadCheckpoint(
         hwsim::CpuCluster cluster, CampaignResult &result,
         std::vector<std::vector<std::string>> &retained) const;
 

@@ -2,11 +2,11 @@
  * @file
  * ExperimentRunner implementation.
  *
- * The experiment loops run through the execution engine (src/exec/):
- * each (workload, frequency) point becomes a task graph node (two for
- * validation: hardware and g5) and the results are gathered by point
- * index, so the collated dataset is bit-identical at any thread
- * count. jobs == 1 runs the same graph inline through runSerial().
+ * The experiment loops run on the point graph (gemstone/pointgraph.hh):
+ * each (workload, frequency) point becomes one hw node (plus a g5
+ * node for validation) and the results are gathered by point index,
+ * so the collated dataset is bit-identical at any thread count.
+ * jobs == 1 runs the same graph inline through runSerial().
  */
 
 #include "gemstone/runner.hh"
@@ -14,8 +14,7 @@
 #include <map>
 #include <string>
 
-#include "exec/taskgraph.hh"
-#include "exec/threadpool.hh"
+#include "gemstone/pointgraph.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
 
@@ -271,66 +270,28 @@ ExperimentRunner::runValidation(hwsim::CpuCluster cluster,
     dataset.freqsMhz = freqs_mhz;
 
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    struct PointSpec
-    {
-        const workload::Workload *work;
-        double freq;
-    };
-    std::vector<PointSpec> specs;
-    for (const workload::Workload *work :
-         workload::Suite::validationSet()) {
-        for (double freq : freqs_mhz)
-            specs.push_back({work, freq});
-    }
-
+    const PointPlan plan(workload::Suite::validationSet(), freqs_mhz);
     // Records are gathered by point index: the dataset order never
     // depends on completion order. Declared before the graph so the
     // storage outlives any in-flight node.
-    std::vector<ValidationRecord> records(specs.size());
+    std::vector<ValidationRecord> records(plan.points.size());
+    PointBodies bodies;
+    bodies.hw = [this, &plan, &records, cluster, deadline](std::size_t i) {
+        CoopScope scope(runnerConfig.cancel, deadline, "validation");
+        const PlannedPoint &point = plan.points[i];
+        records[i].work = point.work;
+        records[i].cluster = cluster;
+        records[i].freqMhz = point.freqMhz;
+        records[i].hw = measureHw(*point.work, cluster, point.freqMhz, 0);
+    };
+    bodies.g5 = [this, &plan, &records, cluster, deadline](std::size_t i) {
+        CoopScope scope(runnerConfig.cancel, deadline, "validation");
+        const PlannedPoint &point = plan.points[i];
+        records[i].g5 = runG5(*point.work, cluster, point.freqMhz);
+    };
     exec::TaskGraph graph;
-    // The first point of each workload computes its two 1.0 GHz base
-    // runs; the same-kind nodes of its other points depend on it and
-    // retime the filled slots instead of blocking on their once-flags
-    // (DESIGN.md §10).
-    std::vector<exec::TaskGraph::NodeId> hw_base, g5_base;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const PointSpec &spec = specs[i];
-        if (i > 0 && specs[i - 1].work != spec.work) {
-            hw_base.clear();
-            g5_base.clear();
-        }
-        exec::TaskGraph::NodeId hw = graph.add(
-            "hw:" + spec.work->name,
-            [this, &records, spec, cluster, i, deadline] {
-                CoopScope scope(runnerConfig.cancel, deadline,
-                                "validation");
-                records[i].work = spec.work;
-                records[i].cluster = cluster;
-                records[i].freqMhz = spec.freq;
-                records[i].hw =
-                    measureHw(*spec.work, cluster, spec.freq, 0);
-            },
-            hw_base);
-        exec::TaskGraph::NodeId g5 = graph.add(
-            "g5:" + spec.work->name,
-            [this, &records, spec, cluster, i, deadline] {
-                CoopScope scope(runnerConfig.cancel, deadline,
-                                "validation");
-                records[i].g5 = runG5(*spec.work, cluster, spec.freq);
-            },
-            g5_base);
-        if (hw_base.empty()) {
-            hw_base = {hw};
-            g5_base = {g5};
-        }
-    }
-    if (runnerConfig.jobs <= 1) {
-        graph.runSerial(runnerConfig.cancel);
-    } else {
-        exec::ThreadPool pool(runnerConfig.jobs);
-        pool.setCancellationToken(runnerConfig.cancel);
-        graph.run(pool, runnerConfig.cancel);
-    }
+    addPointGraph(graph, plan, bodies);
+    runPointGraph(graph, runnerConfig.jobs, runnerConfig.cancel);
     dataset.records = std::move(records);
     return dataset;
 }
@@ -339,43 +300,24 @@ std::vector<powmon::PowerObservation>
 ExperimentRunner::runPowerCharacterisation(hwsim::CpuCluster cluster)
 {
     const Deadline deadline = runDeadlineFor(runnerConfig);
-    struct PointSpec
-    {
-        const workload::Workload *work;
-        double freq;
-    };
-    std::vector<PointSpec> specs;
-    for (const workload::Workload &work : workload::Suite::all()) {
-        for (double freq : frequenciesFor(cluster))
-            specs.push_back({&work, freq});
-    }
+    std::vector<const workload::Workload *> works;
+    for (const workload::Workload &work : workload::Suite::all())
+        works.push_back(&work);
+    const PointPlan plan(works, frequenciesFor(cluster));
 
-    std::vector<powmon::PowerObservation> observations(specs.size());
+    std::vector<powmon::PowerObservation> observations(
+        plan.points.size());
+    PointBodies bodies;
+    bodies.hw = [this, &plan, &observations, cluster,
+                 deadline](std::size_t i) {
+        CoopScope scope(runnerConfig.cancel, deadline, "power");
+        const PlannedPoint &point = plan.points[i];
+        observations[i].measurement =
+            measureHw(*point.work, cluster, point.freqMhz, 0);
+    };
     exec::TaskGraph graph;
-    // First-point base-run edge, as in runValidation().
-    std::vector<exec::TaskGraph::NodeId> hw_base;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const PointSpec &spec = specs[i];
-        if (i > 0 && specs[i - 1].work != spec.work)
-            hw_base.clear();
-        exec::TaskGraph::NodeId hw = graph.add(
-            "hw:" + spec.work->name,
-            [this, &observations, spec, cluster, i, deadline] {
-                CoopScope scope(runnerConfig.cancel, deadline, "power");
-                observations[i].measurement =
-                    measureHw(*spec.work, cluster, spec.freq, 0);
-            },
-            hw_base);
-        if (hw_base.empty())
-            hw_base = {hw};
-    }
-    if (runnerConfig.jobs <= 1) {
-        graph.runSerial(runnerConfig.cancel);
-    } else {
-        exec::ThreadPool pool(runnerConfig.jobs);
-        pool.setCancellationToken(runnerConfig.cancel);
-        graph.run(pool, runnerConfig.cancel);
-    }
+    addPointGraph(graph, plan, bodies);
+    runPointGraph(graph, runnerConfig.jobs, runnerConfig.cancel);
     return observations;
 }
 

@@ -9,13 +9,17 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gemstone/campaign.hh"
+#include "gemstone/pointgraph.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
 #include "util/atomicfile.hh"
@@ -426,4 +430,126 @@ TEST_F(CampaignFlow, NaivePolicyAcceptsFirstMeasurement)
     EXPECT_GT(std::abs(result.dataset.execMpe() -
                        cleanDataset->execMpe()) * 100.0,
               1.0);
+}
+
+// ---------------------------------------------------------------------
+// Point graph
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Node calls and contract violations of one point-graph run. */
+struct EdgeProbe
+{
+    std::size_t nodes = 0;
+    unsigned hw = 0, g5 = 0, collate = 0, resume = 0;
+    unsigned violations = 0;
+};
+
+/**
+ * Build @p plan's graph with hw nodes, plus g5 and collate nodes when
+ * asked, and run it on 4 threads. A later hw or g5 body of a workload
+ * is a violation unless its first measured point's same-kind body has
+ * finished; a collate body, unless its point's hw and g5 have.
+ */
+EdgeProbe
+probePointGraph(const PointPlan &plan, bool g5, bool collate)
+{
+    const std::size_t n = plan.points.size();
+    // Each point's first measured same-workload entry.
+    std::vector<std::size_t> first(n);
+    for (std::size_t i = 0, base = n; i < n; ++i) {
+        if (i > 0 && plan.points[i - 1].work != plan.points[i].work)
+            base = n;
+        if (base == n && !plan.points[i].resumed)
+            base = i;
+        first[i] = base;
+    }
+
+    std::vector<std::atomic<bool>> hw_done(n), g5_done(n);
+    std::atomic<unsigned> hw_calls{0}, g5_calls{0}, collate_calls{0},
+        resume_calls{0}, violations{0};
+    auto measured = [&](std::vector<std::atomic<bool>> *done,
+                        std::atomic<unsigned> *calls) {
+        return [&, done, calls](std::size_t i) {
+            ++*calls;
+            if (plan.points[i].resumed) {
+                ++violations;
+            } else if (i == first[i]) {
+                // Gives a later point time to overtake a missing edge.
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            } else if (!(*done)[first[i]]) {
+                ++violations;
+            }
+            (*done)[i] = true;
+        };
+    };
+    PointBodies bodies;
+    bodies.hw = measured(&hw_done, &hw_calls);
+    if (g5)
+        bodies.g5 = measured(&g5_done, &g5_calls);
+    if (collate) {
+        bodies.collate = [&](std::size_t i) {
+            ++collate_calls;
+            if (!hw_done[i] || !g5_done[i])
+                ++violations;
+        };
+    }
+    bodies.resume = [&](std::size_t i) {
+        ++resume_calls;
+        if (!plan.points[i].resumed)
+            ++violations;
+    };
+
+    exec::TaskGraph graph;
+    addPointGraph(graph, plan, bodies);
+    runPointGraph(graph, 4, CancellationToken());
+    return {graph.nodeCount(), hw_calls, g5_calls, collate_calls,
+            resume_calls, violations};
+}
+
+} // namespace
+
+TEST(PointGraph, LaterPointsDependOnTheFirstMeasuredPoint)
+{
+    const std::vector<const workload::Workload *> set =
+        workload::Suite::validationSet();
+    const std::vector<double> freqs = {200.0, 600.0, 1000.0, 1400.0};
+    PointPlan plan({set[0], set[1], set[2]}, freqs);
+    ASSERT_EQ(plan.points.size(), 12u);
+    ASSERT_FALSE(plan.truncated);
+
+    // Runner validation: an hw and a g5 node per point.
+    EdgeProbe validation = probePointGraph(plan, true, false);
+    EXPECT_EQ(validation.nodes, 24u);
+    EXPECT_EQ(validation.hw, 12u);
+    EXPECT_EQ(validation.g5, 12u);
+    EXPECT_EQ(validation.violations, 0u);
+
+    // Power characterisation: one hw node per point.
+    EdgeProbe power = probePointGraph(plan, false, false);
+    EXPECT_EQ(power.nodes, 12u);
+    EXPECT_EQ(power.hw, 12u);
+    EXPECT_EQ(power.violations, 0u);
+
+    // Campaign: the second workload's first entry and the third's
+    // last are restored, so the second takes its edge from its second
+    // entry. Three nodes per measured point, one per resumed point.
+    plan.points[4].resumed = true;
+    plan.points[11].resumed = true;
+    EdgeProbe campaign = probePointGraph(plan, true, true);
+    EXPECT_EQ(campaign.nodes, 3 * 10u + 2u);
+    EXPECT_EQ(campaign.hw, 10u);
+    EXPECT_EQ(campaign.g5, 10u);
+    EXPECT_EQ(campaign.collate, 10u);
+    EXPECT_EQ(campaign.resume, 2u);
+    EXPECT_EQ(campaign.violations, 0u);
+
+    // maxPoints cuts the plan in canonical order.
+    PointPlan cut({set[0], set[1]}, freqs, 6);
+    ASSERT_EQ(cut.points.size(), 6u);
+    EXPECT_TRUE(cut.truncated);
+    EXPECT_EQ(cut.points[5].work, set[1]);
+    EXPECT_EQ(cut.points[5].freqMhz, 600.0);
+    EXPECT_FALSE(PointPlan({set[0], set[1]}, freqs, 8).truncated);
 }

@@ -599,13 +599,17 @@ TEST(CancelCampaign, CheckpointTruncatedAtArbitraryOffsetsResumes)
             .runValidation(hwsim::CpuCluster::BigA15, {kFreq})
             .dataset.toCsv();
 
-    // A partial campaign leaves a real checkpoint to mutilate.
+    // A partial campaign leaves a real checkpoint to mutilate. One
+    // runner serves it and every resume below: fault plans are pure
+    // functions of (point, attempt) and base runs are memoised, so
+    // sharing it moves no output byte, only the time. The reference
+    // keeps its own runner.
     CampaignConfig partial;
     partial.checkpointPath = checkpoint.path;
     partial.maxPoints = 8;
-    ExperimentRunner first = makeFaultedRunner();
+    ExperimentRunner runner = makeFaultedRunner();
     CampaignResult before =
-        CampaignEngine(first, partial)
+        CampaignEngine(runner, partial)
             .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
     ASSERT_FALSE(before.complete);
     const std::string intact = readFile(checkpoint.path);
@@ -627,7 +631,6 @@ TEST(CancelCampaign, CheckpointTruncatedAtArbitraryOffsetsResumes)
 
         CampaignConfig policy;
         policy.checkpointPath = checkpoint.path;
-        ExperimentRunner runner = makeFaultedRunner();
         CampaignResult resumed =
             CampaignEngine(runner, policy)
                 .runValidation(hwsim::CpuCluster::BigA15, {kFreq});
