@@ -12,9 +12,9 @@
  * (par-basicmath-rad2deg) has a MAPE of 285% at 600 MHz.
  */
 
-#include <iostream>
+#include <ostream>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "util/strutil.hh"
@@ -22,21 +22,19 @@
 
 using namespace gemstone;
 
-int
-main()
+void
+fig3_mpe_clusters::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E2 (Fig. 3): per-workload exec-time MPE @1GHz, "
-                 "Cortex-A15, grouped by HCA cluster\n";
+    out << "E2 (Fig. 3): per-workload exec-time MPE @1GHz, "
+           "Cortex-A15, grouped by HCA cluster\n";
 
-    core::RunnerConfig runner_config;
-    runner_config.jobs = exec::ThreadPool::defaultThreadCount();
-    core::ExperimentRunner runner(runner_config);
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset = runner.runValidation(
         hwsim::CpuCluster::BigA15, {600.0, 1000.0});
     core::WorkloadClustering clustering =
         core::clusterWorkloads(dataset, 1000.0, 16);
 
-    printBanner(std::cout,
+    printBanner(out,
                 "Workloads in dendrogram order (cluster, MPE)");
     TextTable t({"workload", "cluster", "exec-time MPE"});
     std::size_t last_cluster = 0;
@@ -47,17 +45,17 @@ main()
         t.addRow({w.name, std::to_string(w.cluster),
                   formatPercent(w.mpe)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Cluster mean MPE (paper: e.g. cluster 4 "
-                           "+47%, cluster 8 -66%, cluster 10 -3%)");
+    printBanner(out, "Cluster mean MPE (paper: e.g. cluster 4 "
+                     "+47%, cluster 8 -66%, cluster 10 -3%)");
     TextTable c({"cluster", "workloads", "mean MPE"});
     for (const auto &[label, mean_mpe] : clustering.clusterMeanMpe) {
         c.addRow({std::to_string(label),
                   std::to_string(clustering.clusterSizes.at(label)),
                   formatPercent(mean_mpe)});
     }
-    c.print(std::cout);
+    c.print(out);
 
     // The worst workload at 600 MHz (paper: par-basicmath-rad2deg,
     // MAPE 285%).
@@ -70,8 +68,7 @@ main()
             worst_name = r->work->name;
         }
     }
-    std::cout << "\nHighest MAPE at 600 MHz: " << worst_name << " at "
-              << formatPercent(worst_ape)
-              << " (paper: par-basicmath-rad2deg, 285%)\n";
-    return 0;
+    out << "\nHighest MAPE at 600 MHz: " << worst_name << " at "
+        << formatPercent(worst_ape)
+        << " (paper: par-basicmath-rad2deg, 285%)\n";
 }

@@ -8,8 +8,9 @@
  * other levels match closely.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "g5/simulator.hh"
 #include "hwsim/platform.hh"
 #include "uarch/system.hh"
@@ -30,19 +31,19 @@ nsPerHop(double seconds, std::uint64_t hops)
 
 } // namespace
 
-int
-main()
+void
+fig4_mem_latency::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E3 (Fig. 4): measured memory latency with a stride "
-                 "of 256 (ns per load, 1 GHz)\n";
+    out << "E3 (Fig. 4): measured memory latency with a stride "
+           "of 256 (ns per load, 1 GHz)\n";
 
     constexpr std::uint64_t stride = 256;
     constexpr std::uint64_t hops = 40000;
 
-    hwsim::OdroidXu3Platform board;
-    g5::G5Simulation sim(1);
+    hwsim::OdroidXu3Platform &board = artefacts.runner().platform();
+    g5::G5Simulation &sim = artefacts.runner().simulator();
 
-    printBanner(std::cout, "Latency vs working-set size");
+    printBanner(out, "Latency vs working-set size");
     TextTable t({"size (KiB)", "HW A15", "g5 ex5_big", "HW A7",
                  "g5 ex5_LITTLE"});
 
@@ -67,11 +68,10 @@ main()
                   formatDouble(nsPerHop(g5_little.simSeconds, hops),
                                2)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nExpected shape (paper): plateaus at L1/L2/DRAM; "
-                 "the g5 DRAM plateau sits well below HW on both "
-                 "clusters, and the ex5_LITTLE L2 plateau sits above "
-                 "the A7's.\n";
-    return 0;
+    out << "\nExpected shape (paper): plateaus at L1/L2/DRAM; "
+           "the g5 DRAM plateau sits well below HW on both "
+           "clusters, and the ex5_LITTLE L2 plateau sits above "
+           "the A7's.\n";
 }

@@ -10,52 +10,31 @@
  * smaller in magnitude; instruction-rate clusters also negative.
  */
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <string>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/pmu.hh"
-#include "util/logging.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
 using namespace gemstone;
 
-int
-main(int argc, char **argv)
+void
+fig5_pmc_correlation::render(Artefacts &artefacts, std::ostream &out)
 {
-    // Campaign --jobs convention: 0 means one worker per core. The
-    // analysis results are identical at any jobs count.
-    unsigned jobs = exec::ThreadPool::defaultThreadCount();
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            int value = std::stoi(argv[++i]);
-            if (value < 0)
-                fatal("--jobs must be >= 0");
-            jobs = value == 0
-                ? exec::ThreadPool::defaultThreadCount()
-                : static_cast<unsigned>(value);
-        } else {
-            fatal("usage: ", argv[0], " [--jobs N]");
-        }
-    }
+    out << "E4 (Fig. 5): HW PMC rate correlation with "
+           "exec-time MPE @1GHz, Cortex-A15 (g5 v1)\n";
 
-    std::cout << "E4 (Fig. 5): HW PMC rate correlation with "
-                 "exec-time MPE @1GHz, Cortex-A15 (g5 v1)\n";
-
-    core::RunnerConfig runner_config;
-    runner_config.jobs = jobs;
-    core::ExperimentRunner runner(runner_config);
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset =
         runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
     core::CorrelationAnalysis analysis =
-        core::correlatePmcEvents(dataset, 1000.0, 24, jobs);
+        core::correlatePmcEvents(dataset, 1000.0, 24, artefacts.jobs);
 
-    printBanner(std::cout,
+    printBanner(out,
                 "Events sorted by correlation (clustered by HCA)");
     TextTable t({"PMC", "name", "corr with MPE", "event cluster"});
     for (const core::EventCorrelation &e : analysis.events) {
@@ -66,9 +45,9 @@ main(int argc, char **argv)
                   formatDouble(e.correlation, 3),
                   std::to_string(e.cluster)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Key event checks against the paper");
+    printBanner(out, "Key event checks against the paper");
     auto corr_of = [&](const std::string &key) {
         for (const core::EventCorrelation &e : analysis.events) {
             if (e.name == key)
@@ -95,6 +74,5 @@ main(int argc, char **argv)
               "notable negative"});
     k.addRow({"0x73", "DP_SPEC", formatDouble(corr_of("0x73"), 3),
               "notable negative"});
-    k.print(std::cout);
-    return 0;
+    k.print(out);
 }

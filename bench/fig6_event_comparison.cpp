@@ -13,8 +13,9 @@
  * prefetches significantly overestimated.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "util/strutil.hh"
@@ -22,13 +23,13 @@
 
 using namespace gemstone;
 
-int
-main()
+void
+fig6_event_comparison::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E7 (Fig. 6): g5 events normalised to HW PMC "
-                 "equivalents @1GHz, Cortex-A15 (g5 v1)\n";
+    out << "E7 (Fig. 6): g5 events normalised to HW PMC "
+           "equivalents @1GHz, Cortex-A15 (g5 v1)\n";
 
-    core::ExperimentRunner runner;
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset =
         runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
     core::WorkloadClustering clustering =
@@ -42,8 +43,8 @@ main()
     std::vector<core::EventComparisonRow> rows = core::compareEvents(
         dataset, 1000.0, clustering, pathological);
 
-    printBanner(std::cout, "Mean g5/HW event ratios (pathological "
-                           "cluster excluded)");
+    printBanner(out, "Mean g5/HW event ratios (pathological "
+                     "cluster excluded)");
     TextTable t({"event", "name", "mean g5/HW", "paper"});
     auto paper_of = [](const std::string &key) -> std::string {
         if (key == "0x08")
@@ -72,10 +73,10 @@ main()
         t.addRow({row.key, row.label, formatRatio(row.meanRatio),
                   paper_of(row.key)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Per-cluster ratios for the workload-"
-                           "dependent events");
+    printBanner(out, "Per-cluster ratios for the workload-"
+                     "dependent events");
     TextTable c({"event", "cluster", "g5/HW"});
     for (const core::EventComparisonRow &row : rows) {
         if (row.key != "0x02" && row.key != "0x12" &&
@@ -88,7 +89,7 @@ main()
         }
         c.addRule();
     }
-    c.print(std::cout);
+    c.print(out);
 
     // The pathological workload's misprediction ratio (paper: 1402x).
     const core::ValidationRecord *worst =
@@ -97,9 +98,8 @@ main()
         double hw = worst->hw.pmcValue(0x10);
         double g5 = worst->g5.value(
             "system.cpu.commit.branchMispredicts");
-        std::cout << "\npar-basicmath-rad2deg misprediction ratio: "
-                  << formatRatio(hw > 0 ? g5 / hw : 0)
-                  << " (paper: 1402x)\n";
+        out << "\npar-basicmath-rad2deg misprediction ratio: "
+            << formatRatio(hw > 0 ? g5 / hw : 0)
+            << " (paper: 1402x)\n";
     }
-    return 0;
 }

@@ -12,49 +12,27 @@
  * 5.85%/14.6%.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/powereval.hh"
 #include "gemstone/runner.hh"
-#include "powmon/builder.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
 using namespace gemstone;
 
-namespace {
-
-powmon::PowerModel
-buildCompatibleModel(core::ExperimentRunner &runner,
-                     hwsim::CpuCluster cluster,
-                     const std::string &name)
+void
+fig7_power_energy::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::vector<powmon::PowerObservation> obs =
-        runner.runPowerCharacterisation(cluster);
-    powmon::PowerModelBuilder builder(obs, name);
-    powmon::SelectionConfig config;
-    config.maxEvents = 7;
-    config.requireG5Equivalent = true;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        config.excluded.insert(id);
-    config.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    return builder.build(builder.selectEvents(config).events);
-}
+    out << "E9 (Fig. 7): power and energy, HW PMCs vs g5 "
+           "statistics (g5 v1)\n";
 
-} // namespace
-
-int
-main()
-{
-    std::cout << "E9 (Fig. 7): power and energy, HW PMCs vs g5 "
-                 "statistics (g5 v1)\n";
-
-    core::ExperimentRunner runner;
+    core::ExperimentRunner &runner = artefacts.runner();
 
     // --- Cortex-A15 @1GHz ---
-    powmon::PowerModel big_model = buildCompatibleModel(
-        runner, hwsim::CpuCluster::BigA15, "cortex-a15");
+    const powmon::PowerModel &big_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::BigA15);
     core::ValidationDataset big = runner.runValidation(
         hwsim::CpuCluster::BigA15, {1000.0});
     core::WorkloadClustering clustering =
@@ -62,18 +40,18 @@ main()
     core::PowerEnergyEvaluation eval = core::evaluatePowerEnergy(
         big, 1000.0, big_model, clustering);
 
-    printBanner(std::cout, "Cortex-A15 summary");
+    printBanner(out, "Cortex-A15 summary");
     TextTable s({"metric", "measured", "paper"});
     s.addRow({"power MPE", formatPercent(eval.powerMpe), "3.3%"});
     s.addRow({"power MAPE", formatPercent(eval.powerMape), "10%"});
     s.addRow({"energy MPE", formatPercent(eval.energyMpe), "-43.6%"});
     s.addRow(
         {"energy MAPE", formatPercent(eval.energyMape), "50.0%"});
-    s.print(std::cout);
+    s.print(out);
 
-    printBanner(std::cout, "Per-cluster power MAPE (bold in the "
-                           "paper's figure) and energy MAPE "
-                           "(brackets)");
+    printBanner(out, "Per-cluster power MAPE (bold in the "
+                     "paper's figure) and energy MAPE "
+                     "(brackets)");
     TextTable c({"cluster", "workloads", "power MAPE",
                  "energy MAPE"});
     for (const core::ClusterPowerEnergy &agg : eval.perCluster) {
@@ -82,11 +60,11 @@ main()
                   formatPercent(agg.powerMape),
                   formatPercent(agg.energyMape)});
     }
-    c.print(std::cout);
+    c.print(out);
 
-    printBanner(std::cout, "Mean component breakdown across "
-                           "clusters: HW-PMC estimate | g5 estimate "
-                           "(watts)");
+    printBanner(out, "Mean component breakdown across "
+                     "clusters: HW-PMC estimate | g5 estimate "
+                     "(watts)");
     TextTable b({"component", "HW (mean W)", "g5 (mean W)"});
     std::vector<double> hw_mean(eval.componentLabels.size(), 0.0);
     std::vector<double> g5_mean(eval.componentLabels.size(), 0.0);
@@ -102,11 +80,11 @@ main()
                   formatDouble(g5_mean[i] / eval.perCluster.size(),
                                3)});
     }
-    b.print(std::cout);
+    b.print(out);
 
     // --- Cortex-A7 ---
-    powmon::PowerModel little_model = buildCompatibleModel(
-        runner, hwsim::CpuCluster::LittleA7, "cortex-a7");
+    const powmon::PowerModel &little_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::LittleA7);
     core::ValidationDataset little = runner.runValidation(
         hwsim::CpuCluster::LittleA7, {1000.0});
     core::WorkloadClustering little_clustering =
@@ -115,7 +93,7 @@ main()
         core::evaluatePowerEnergy(little, 1000.0, little_model,
                                   little_clustering);
 
-    printBanner(std::cout, "Cortex-A7 summary");
+    printBanner(out, "Cortex-A7 summary");
     TextTable a7({"metric", "measured", "paper"});
     a7.addRow({"power MPE", formatPercent(little_eval.powerMpe),
                "-5.48%"});
@@ -125,6 +103,5 @@ main()
                "5.85%"});
     a7.addRow({"energy MAPE", formatPercent(little_eval.energyMape),
                "14.6%"});
-    a7.print(std::cout);
-    return 0;
+    a7.print(out);
 }

@@ -11,12 +11,11 @@
  * normalised to 200 MHz.
  */
 
-#include <iostream>
+#include <ostream>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/powereval.hh"
 #include "gemstone/runner.hh"
-#include "powmon/builder.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
@@ -24,25 +23,8 @@ using namespace gemstone;
 
 namespace {
 
-powmon::PowerModel
-buildModel(core::ExperimentRunner &runner, hwsim::CpuCluster cluster,
-           const std::string &name)
-{
-    std::vector<powmon::PowerObservation> obs =
-        runner.runPowerCharacterisation(cluster);
-    powmon::PowerModelBuilder builder(obs, name);
-    powmon::SelectionConfig config;
-    config.maxEvents = 7;
-    config.requireG5Equivalent = true;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        config.excluded.insert(id);
-    config.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    return builder.build(builder.selectEvents(config).events);
-}
-
 void
-printSeries(const core::DvfsScaling &scaling,
+printSeries(std::ostream &out, const core::DvfsScaling &scaling,
             const std::vector<double> &freqs)
 {
     TextTable t({"series", "quantity", "f0", "f1", "f2", "f3"});
@@ -61,28 +43,26 @@ printSeries(const core::DvfsScaling &scaling,
         row("energy", s.energy);
         t.addRule();
     }
-    std::cout << "frequencies (MHz):";
+    out << "frequencies (MHz):";
     for (double f : freqs)
-        std::cout << " " << f;
-    std::cout << "\n";
-    t.print(std::cout);
+        out << " " << f;
+    out << "\n";
+    t.print(out);
 }
 
 } // namespace
 
-int
-main()
+void
+fig8_dvfs_scaling::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E10 (Fig. 8): DVFS scaling of performance, power "
-                 "and energy (g5 v1)\n";
+    out << "E10 (Fig. 8): DVFS scaling of performance, power "
+           "and energy (g5 v1)\n";
 
-    core::RunnerConfig runner_config;
-    runner_config.jobs = exec::ThreadPool::defaultThreadCount();
-    core::ExperimentRunner runner(runner_config);
+    core::ExperimentRunner &runner = artefacts.runner();
 
     // --- Cortex-A7 normalised to 200 MHz (the paper's Fig. 8) ---
-    powmon::PowerModel little_model = buildModel(
-        runner, hwsim::CpuCluster::LittleA7, "cortex-a7");
+    const powmon::PowerModel &little_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::LittleA7);
     core::ValidationDataset little =
         runner.runValidation(hwsim::CpuCluster::LittleA7);
     core::WorkloadClustering little_clusters =
@@ -93,12 +73,12 @@ main()
     core::DvfsScaling little_scaling = core::computeDvfsScaling(
         little, little_model, little_clusters, selected);
 
-    printBanner(std::cout, "Cortex-A7, normalised to 200 MHz");
-    printSeries(little_scaling, little.freqsMhz);
+    printBanner(out, "Cortex-A7, normalised to 200 MHz");
+    printSeries(out, little_scaling, little.freqsMhz);
 
     // --- Cortex-A15: 600 -> 1800 MHz speedup and energy growth ---
-    powmon::PowerModel big_model =
-        buildModel(runner, hwsim::CpuCluster::BigA15, "cortex-a15");
+    const powmon::PowerModel &big_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::BigA15);
     core::ValidationDataset big =
         runner.runValidation(hwsim::CpuCluster::BigA15);
     core::WorkloadClustering big_clusters =
@@ -109,7 +89,7 @@ main()
     core::SpeedupSummary energy = core::summariseEnergyGrowth(
         big, big_model, big_clusters, 600.0, 1800.0);
 
-    printBanner(std::cout,
+    printBanner(out,
                 "Cortex-A15 600 -> 1800 MHz (per-cluster ranges)");
     TextTable s({"metric", "HW", "g5 model", "paper HW",
                  "paper model"});
@@ -137,6 +117,5 @@ main()
               formatRatio(energy.g5Min) + " - " +
                   formatRatio(energy.g5Max),
               "1.7x - 2.3x", "1.6x - 1.9x"});
-    s.print(std::cout);
-    return 0;
+    s.print(out);
 }

@@ -9,33 +9,31 @@
  * 1 GHz MAPE 59% / MPE -51%.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/runner.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
 using namespace gemstone;
 using core::ExperimentRunner;
-using core::RunnerConfig;
 using core::ValidationDataset;
 
-int
-main()
+void
+fig_exec_error::render(Artefacts &artefacts, std::ostream &out)
 {
-    RunnerConfig config;
-    config.g5Version = 1;
-    ExperimentRunner runner(config);
+    ExperimentRunner &runner = artefacts.runner();
 
-    std::cout << "E1: execution-time error of the g5 models "
-                 "(45 validation workloads, g5 v1)\n";
+    out << "E1: execution-time error of the g5 models "
+           "(45 validation workloads, g5 v1)\n";
 
     ValidationDataset big =
         runner.runValidation(hwsim::CpuCluster::BigA15);
     ValidationDataset little =
         runner.runValidation(hwsim::CpuCluster::LittleA7);
 
-    printBanner(std::cout, "Execution-time error summary");
+    printBanner(out, "Execution-time error summary");
     TextTable t({"scope", "MAPE", "MPE", "paper MAPE", "paper MPE"});
 
     // PARSEC only, both clusters, all DVFS points.
@@ -61,10 +59,10 @@ main()
     t.addRow({"Cortex-A15 model @1GHz",
               formatPercent(big.execMapeAt(1000.0)),
               formatPercent(big.execMpeAt(1000.0)), "59%", "-51%"});
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Per-frequency drift (MPE becomes more "
-                           "positive with frequency)");
+    printBanner(out, "Per-frequency drift (MPE becomes more "
+                     "positive with frequency)");
     TextTable f({"cluster", "freq (MHz)", "MAPE", "MPE"});
     for (const ValidationDataset *ds : {&little, &big}) {
         for (double freq : ds->freqsMhz) {
@@ -76,6 +74,5 @@ main()
                       formatPercent(ds->execMpeAt(freq))});
         }
     }
-    f.print(std::cout);
-    return 0;
+    f.print(out);
 }

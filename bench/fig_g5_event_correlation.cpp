@@ -11,8 +11,9 @@
  * writeback/miss-latency statistics.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "util/strutil.hh"
@@ -20,22 +21,22 @@
 
 using namespace gemstone;
 
-int
-main()
+void
+fig_g5_event_correlation::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E5 (Section IV-C): g5 statistic correlation with "
-                 "exec-time MPE @1GHz, ex5_big v1\n";
+    out << "E5 (Section IV-C): g5 statistic correlation with "
+           "exec-time MPE @1GHz, ex5_big v1\n";
 
-    core::ExperimentRunner runner;
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset =
         runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
     core::CorrelationAnalysis analysis =
         core::correlateG5Events(dataset, 1000.0, 0.3, 10);
 
-    std::cout << "\nStatistics with |r| >= 0.3: "
-              << analysis.events.size() << " (paper: 94)\n";
+    out << "\nStatistics with |r| >= 0.3: "
+        << analysis.events.size() << " (paper: 94)\n";
 
-    printBanner(std::cout,
+    printBanner(out,
                 "Event clusters by mean correlation (most negative "
                 "first)");
     TextTable c({"cluster", "events", "mean corr", "members (up to 6)"});
@@ -57,10 +58,10 @@ main()
                   std::to_string(members.size()),
                   formatDouble(mean_corr, 3), names});
     }
-    c.print(std::cout);
+    c.print(out);
 
-    printBanner(std::cout, "Most negative statistics (paper: ITLB "
-                           "walker-cache and branch events)");
+    printBanner(out, "Most negative statistics (paper: ITLB "
+                     "walker-cache and branch events)");
     TextTable t({"g5 statistic", "corr"});
     std::size_t count = 0;
     for (const core::EventCorrelation &e : analysis.events) {
@@ -68,17 +69,16 @@ main()
             break;
         t.addRow({e.name, formatDouble(e.correlation, 3)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Most positive statistics (paper: fetch "
-                           "rate / IPC, L2 writebacks, L2 miss "
-                           "latency)");
+    printBanner(out, "Most positive statistics (paper: fetch "
+                     "rate / IPC, L2 writebacks, L2 miss "
+                     "latency)");
     TextTable p({"g5 statistic", "corr"});
     count = 0;
     for (auto it = analysis.events.rbegin();
          it != analysis.events.rend() && count < 10; ++it, ++count) {
         p.addRow({it->name, formatDouble(it->correlation, 3)});
     }
-    p.print(std::cout);
-    return 0;
+    p.print(out);
 }

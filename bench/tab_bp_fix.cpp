@@ -10,8 +10,9 @@
  * with an execution-time MPE of -268% at 1 GHz.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "util/strutil.hh"
@@ -19,34 +20,30 @@
 
 using namespace gemstone;
 
-int
-main()
+void
+tab_bp_fix::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E11: g5 version comparison (ex5_big, 45 "
-                 "workloads)\n";
+    out << "E11: g5 version comparison (ex5_big, 45 "
+           "workloads)\n";
 
-    core::RunnerConfig config_v1;
-    config_v1.g5Version = 1;
-    core::ExperimentRunner runner_v1(config_v1);
     core::ValidationDataset v1 =
-        runner_v1.runValidation(hwsim::CpuCluster::BigA15);
+        artefacts.runner().runValidation(hwsim::CpuCluster::BigA15);
 
     core::RunnerConfig config_v2;
     config_v2.g5Version = 2;
-    core::ExperimentRunner runner_v2(config_v2);
-    core::ValidationDataset v2 =
-        runner_v2.runValidation(hwsim::CpuCluster::BigA15);
+    core::ValidationDataset v2 = artefacts.runner(config_v2).runValidation(
+        hwsim::CpuCluster::BigA15);
 
-    printBanner(std::cout, "Execution-time error across versions");
+    printBanner(out, "Execution-time error across versions");
     TextTable t({"metric", "g5 v1 (paper's release)",
                  "g5 v2 (BP fix)", "paper v1", "paper v2"});
     t.addRow({"exec-time MPE", formatPercent(v1.execMpe()),
               formatPercent(v2.execMpe()), "-51%", "+10%"});
     t.addRow({"exec-time MAPE", formatPercent(v1.execMape()),
               formatPercent(v2.execMape()), "59%", "18%"});
-    t.print(std::cout);
+    t.print(out);
 
-    printBanner(std::cout, "Branch prediction accuracy @1GHz");
+    printBanner(out, "Branch prediction accuracy @1GHz");
     core::BpAccuracySummary bp_v1 =
         core::summariseBpAccuracy(v1, 1000.0);
     core::BpAccuracySummary bp_v2 =
@@ -66,6 +63,5 @@ main()
               formatPercent(bp_v1.g5WorstHwAccuracy), "99.9%"});
     b.addRow({"its exec-time MPE",
               formatPercent(bp_v1.g5WorstMpe), "-268%"});
-    b.print(std::cout);
-    return 0;
+    b.print(out);
 }

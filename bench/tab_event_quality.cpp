@@ -10,8 +10,9 @@
  * rate/total MAPEs.
  */
 
-#include <iostream>
+#include <ostream>
 
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/pmu.hh"
@@ -22,18 +23,18 @@
 
 using namespace gemstone;
 
-int
-main()
+void
+tab_event_quality::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "E12: event-quality audit of g5 equivalents @1GHz, "
-                 "Cortex-A15 (g5 v1)\n";
+    out << "E12: event-quality audit of g5 equivalents @1GHz, "
+           "Cortex-A15 (g5 v1)\n";
 
-    core::ExperimentRunner runner;
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset =
         runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
 
-    printBanner(std::cout, "Rate/total error of candidate model "
-                           "events (g5 vs HW)");
+    printBanner(out, "Rate/total error of candidate model "
+                     "events (g5 vs HW)");
     TextTable t({"event", "name", "rate MAPE", "total MAPE",
                  "total MPE", "verdict"});
 
@@ -75,11 +76,10 @@ main()
                   formatPercent(total_mpe),
                   banned ? "EXCLUDED from pool" : "usable"});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nPaper anchors: 0x15 rate/total MPE over 1000% "
-                 "(the write-streaming divergence), 0x75 "
-                 "misclassified as SIMD (equivalent reads ~0), both "
-                 "excluded from the selection pool.\n";
-    return 0;
+    out << "\nPaper anchors: 0x15 rate/total MPE over 1000% "
+           "(the write-streaming divergence), 0x75 "
+           "misclassified as SIMD (equivalent reads ~0), both "
+           "excluded from the selection pool.\n";
 }

@@ -30,7 +30,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/campaign.hh"
 #include "gemstone/runner.hh"
 #include "hwsim/faults.hh"
@@ -110,15 +110,15 @@ interruptedThenResumed(hwsim::CpuCluster cluster, unsigned jobs,
 
 } // namespace
 
-int
-main()
+void
+tab_fault_resilience::render(Artefacts &artefacts, std::ostream &out)
 {
-    std::cout << "R1: campaign resilience under the lab fault mix "
-                 "(45 validation workloads, all DVFS points)\n";
+    out << "R1: campaign resilience under the lab fault mix "
+           "(45 validation workloads, all DVFS points)\n";
 
-    ExperimentRunner clean{RunnerConfig{}};
+    ExperimentRunner &clean = artefacts.runner();
 
-    printBanner(std::cout, "Exec-time MPE: clean vs faulted flows");
+    printBanner(out, "Exec-time MPE: clean vs faulted flows");
     TextTable t({"cluster", "flow", "records", "MPE", "drift (pp)",
                  "within 1pp"});
 
@@ -130,10 +130,9 @@ main()
                   std::to_string(reference.records.size()),
                   formatPercent(reference.execMpe()), "-", "-"});
 
-        // Output is byte-identical at any thread count; use every
-        // core the machine has.
+        // Output is byte-identical at any thread count.
         CampaignConfig resilient_policy;
-        resilient_policy.jobs = exec::ThreadPool::defaultThreadCount();
+        resilient_policy.jobs = artefacts.jobs;
         CampaignConfig naive_policy = CampaignConfig::naive();
         naive_policy.jobs = resilient_policy.jobs;
         CampaignResult resilient =
@@ -153,9 +152,9 @@ main()
         add_flow("resilient campaign", resilient);
         add_flow("naive flow", naive);
 
-        printBanner(std::cout, clusterName(cluster) +
-                                   " recovery accounting "
-                                   "(resilient campaign)");
+        printBanner(out, clusterName(cluster) +
+                             " recovery accounting "
+                             "(resilient campaign)");
         TextTable a({"metric", "value"});
         a.addRow({"points measured",
                   std::to_string(resilient.measuredPoints)});
@@ -169,10 +168,10 @@ main()
                   formatDouble(resilient.backoffSeconds, 2)});
         a.addRow({"points excluded",
                   std::to_string(resilient.excludedPoints)});
-        a.print(std::cout);
+        a.print(out);
     }
 
-    printBanner(std::cout,
+    printBanner(out,
                 "Interrupt + resume: collated dataset vs an "
                 "uninterrupted campaign");
     {
@@ -200,13 +199,12 @@ main()
             r.addRow({std::to_string(jobs), interrupted ? "yes" : "NO",
                       identical ? "yes" : "NO"});
         }
-        r.print(std::cout);
+        r.print(out);
         if (!all_identical)
-            std::cout << "  ! resumed dataset diverged from the "
-                         "uninterrupted campaign\n";
+            out << "  ! resumed dataset diverged from the "
+                   "uninterrupted campaign\n";
     }
 
-    printBanner(std::cout, "Verdict");
-    t.print(std::cout);
-    return 0;
+    printBanner(out, "Verdict");
+    t.print(out);
 }

@@ -12,14 +12,12 @@
  * 6.64%, SER 0.014 W.
  */
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <string>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/runner.hh"
 #include "powmon/builder.hh"
-#include "util/logging.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
@@ -46,40 +44,23 @@ printQuality(const std::string &label, const PowerModelQuality &q,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+void
+tab_power_model::render(Artefacts &artefacts, std::ostream &out)
 {
-    // Campaign --jobs convention: 0 means one worker per core. Event
-    // selection and the per-frequency fits are identical at any jobs
-    // count.
-    unsigned jobs = exec::ThreadPool::defaultThreadCount();
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            int value = std::stoi(argv[++i]);
-            if (value < 0)
-                fatal("--jobs must be >= 0");
-            jobs = value == 0
-                ? exec::ThreadPool::defaultThreadCount()
-                : static_cast<unsigned>(value);
-        } else {
-            fatal("usage: ", argv[0], " [--jobs N]");
-        }
-    }
+    // Event selection and the per-frequency fits are identical at
+    // any jobs count.
+    const unsigned jobs = artefacts.jobs;
+    out << "E8 (Section V): empirical power models\n";
 
-    std::cout << "E8 (Section V): empirical power models\n";
-
-    core::RunnerConfig runner_config;
-    runner_config.jobs = jobs;
-    core::ExperimentRunner runner(runner_config);
+    core::ExperimentRunner &runner = artefacts.runner();
 
     // --- Cortex-A15 ---
     std::vector<powmon::PowerObservation> big_obs =
         runner.runPowerCharacterisation(hwsim::CpuCluster::BigA15);
     PowerModelBuilder big_builder(big_obs, "cortex-a15");
-    std::cout << "\nCortex-A15 observations: " << big_obs.size()
-              << " (65 workloads x 4 DVFS points; paper: 621 "
-                 "observations)\n";
+    out << "\nCortex-A15 observations: " << big_obs.size()
+        << " (65 workloads x 4 DVFS points; paper: 621 "
+           "observations)\n";
 
     TextTable t({"model", "MAPE", "SER", "adj R2", "mean VIF",
                  "worst observation"});
@@ -90,7 +71,8 @@ main(int argc, char **argv)
     core::RunnerConfig other_config;
     other_config.seed = 0xB0A2DULL;      // a different physical board
     other_config.boardVariation = 0.06;  // silicon/sensor spread
-    core::ExperimentRunner other_runner(other_config);
+    core::ExperimentRunner &other_runner =
+        artefacts.runner(other_config);
     std::vector<powmon::PowerObservation> other_obs =
         other_runner.runPowerCharacterisation(
             hwsim::CpuCluster::BigA15);
@@ -129,36 +111,25 @@ main(int argc, char **argv)
     // 4. The final gem5-compatible selection: restricted to events
     // with reliable g5 equivalents, plus the 0x1B-0x73 composite
     // (paper: 3.28%, SER 0.049 W, adj R2 0.996, mean VIF 6).
-    SelectionConfig compatible;
-    compatible.maxEvents = 7;
-    compatible.requireG5Equivalent = true;
-    compatible.jobs = jobs;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        compatible.excluded.insert(id);
-    compatible.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    SelectionResult final_sel = big_builder.selectEvents(compatible);
-    PowerModel final_model = big_builder.build(final_sel.events, jobs);
+    const PowerModel &final_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::BigA15);
     printQuality("gem5-compatible selection (paper 3.28%)",
                  PowerModelBuilder::validate(final_model, big_obs,
                                              jobs),
                  t);
 
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\ngem5-compatible events selected:";
+    out << "\ngem5-compatible events selected:";
     for (const powmon::EventSpec &spec : final_model.events)
-        std::cout << " " << spec.key;
-    std::cout << "\n";
+        out << " " << spec.key;
+    out << "\n";
 
     // --- Cortex-A7 (paper: MAPE 6.64%, SER 0.014 W, adj R2 0.992) ---
     std::vector<powmon::PowerObservation> little_obs =
         runner.runPowerCharacterisation(hwsim::CpuCluster::LittleA7);
-    PowerModelBuilder little_builder(little_obs, "cortex-a7");
-    SelectionResult little_sel =
-        little_builder.selectEvents(compatible);
-    PowerModel little_model =
-        little_builder.build(little_sel.events, jobs);
+    const PowerModel &little_model =
+        artefacts.compatibleModel(hwsim::CpuCluster::LittleA7);
 
     TextTable a7({"model", "MAPE", "SER", "adj R2", "mean VIF",
                   "worst observation"});
@@ -166,11 +137,10 @@ main(int argc, char **argv)
                  PowerModelBuilder::validate(little_model,
                                              little_obs, jobs),
                  a7);
-    printBanner(std::cout, "Cortex-A7 model");
-    a7.print(std::cout);
+    printBanner(out, "Cortex-A7 model");
+    a7.print(out);
 
-    printBanner(std::cout, "Run-time power equations (emitted for "
-                           "in-simulator evaluation)");
-    std::cout << final_model.runtimeEquations();
-    return 0;
+    printBanner(out, "Run-time power equations (emitted for "
+                     "in-simulator evaluation)");
+    out << final_model.runtimeEquations();
 }

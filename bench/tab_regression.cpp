@@ -10,77 +10,55 @@
  * g5-statistic model selects eight events and reaches R2 0.99.
  */
 
-#include <cstdlib>
-#include <iostream>
+#include <ostream>
 #include <string>
 
-#include "exec/threadpool.hh"
+#include "artefacts.hh"
 #include "gemstone/analysis.hh"
 #include "gemstone/runner.hh"
-#include "util/logging.hh"
 #include "util/strutil.hh"
 #include "util/table.hh"
 
 using namespace gemstone;
 
-int
-main(int argc, char **argv)
+void
+tab_regression::render(Artefacts &artefacts, std::ostream &out)
 {
-    // Campaign --jobs convention: 0 means one worker per core. The
-    // regressions select identical terms at any jobs count.
-    unsigned jobs = exec::ThreadPool::defaultThreadCount();
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc) {
-            int value = std::stoi(argv[++i]);
-            if (value < 0)
-                fatal("--jobs must be >= 0");
-            jobs = value == 0
-                ? exec::ThreadPool::defaultThreadCount()
-                : static_cast<unsigned>(value);
-        } else {
-            fatal("usage: ", argv[0], " [--jobs N]");
-        }
-    }
+    out << "E6 (Section IV-D): stepwise regression of the "
+           "exec-time error @1GHz, Cortex-A15 (g5 v1)\n";
 
-    std::cout << "E6 (Section IV-D): stepwise regression of the "
-                 "exec-time error @1GHz, Cortex-A15 (g5 v1)\n";
-
-    core::RunnerConfig runner_config;
-    runner_config.jobs = jobs;
-    core::ExperimentRunner runner(runner_config);
+    core::ExperimentRunner &runner = artefacts.runner();
     core::ValidationDataset dataset =
         runner.runValidation(hwsim::CpuCluster::BigA15, {1000.0});
 
     core::ErrorRegression on_pmcs =
-        core::regressErrorOnPmcs(dataset, 1000.0, 7, jobs);
+        core::regressErrorOnPmcs(dataset, 1000.0, 7, artefacts.jobs);
     core::ErrorRegression on_g5 =
-        core::regressErrorOnG5Stats(dataset, 1000.0, 8, jobs);
+        core::regressErrorOnG5Stats(dataset, 1000.0, 8, artefacts.jobs);
 
-    printBanner(std::cout, "Error ~ HW PMC events (paper: 7 events, "
-                           "R2 = 0.97)");
+    printBanner(out, "Error ~ HW PMC events (paper: 7 events, "
+                     "R2 = 0.97)");
     TextTable t({"step", "selected event", "R2 after step"});
     for (std::size_t i = 0; i < on_pmcs.selectedNames.size(); ++i) {
         t.addRow({std::to_string(i + 1), on_pmcs.selectedNames[i],
                   formatDouble(on_pmcs.stepwise.r2Trajectory[i], 4)});
     }
-    t.print(std::cout);
-    std::cout << "final R2 = " << formatDouble(on_pmcs.r2, 3)
-              << ", adjusted R2 = "
-              << formatDouble(on_pmcs.adjustedR2, 3)
-              << " (paper: 0.97 / 0.97)\n";
+    t.print(out);
+    out << "final R2 = " << formatDouble(on_pmcs.r2, 3)
+        << ", adjusted R2 = "
+        << formatDouble(on_pmcs.adjustedR2, 3)
+        << " (paper: 0.97 / 0.97)\n";
 
-    printBanner(std::cout, "Error ~ g5 statistics (paper: 8 events, "
-                           "R2 = 0.99)");
+    printBanner(out, "Error ~ g5 statistics (paper: 8 events, "
+                     "R2 = 0.99)");
     TextTable g({"step", "selected statistic", "R2 after step"});
     for (std::size_t i = 0; i < on_g5.selectedNames.size(); ++i) {
         g.addRow({std::to_string(i + 1), on_g5.selectedNames[i],
                   formatDouble(on_g5.stepwise.r2Trajectory[i], 4)});
     }
-    g.print(std::cout);
-    std::cout << "final R2 = " << formatDouble(on_g5.r2, 3)
-              << ", adjusted R2 = "
-              << formatDouble(on_g5.adjustedR2, 3)
-              << " (paper: 0.99 / 0.99)\n";
-    return 0;
+    g.print(out);
+    out << "final R2 = " << formatDouble(on_g5.r2, 3)
+        << ", adjusted R2 = "
+        << formatDouble(on_g5.adjustedR2, 3)
+        << " (paper: 0.99 / 0.99)\n";
 }

@@ -24,9 +24,10 @@
  *                                its socket, streaming results
  *
  * SIGINT/SIGTERM request a graceful stop: the run unwinds at the
- * next cooperative poll site, the result store is still saved, and
- * the tool exits with code 130. A second signal aborts immediately.
- * An overrun --deadline exits with code 124.
+ * next cooperative poll site and the tool exits with code 130; every
+ * result finished before the stop is already in the --cache file.
+ * A second signal aborts immediately. An overrun --deadline exits
+ * with code 124.
  */
 
 #include <cstring>
@@ -70,8 +71,8 @@ usage()
         "any N)\n"
         "  --cache PATH       result-store CSV: reuse results from "
         "PATH if it\n"
-        "                     exists, save the updated store back on "
-        "exit\n"
+        "                     exists, append each new result as it "
+        "finishes\n"
         "  --cache-capacity N in-memory LRU bound of the result "
         "store\n"
         "                     (default 65536 entries)\n"
@@ -91,18 +92,14 @@ usage()
         "                               gemstoned daemon\n";
 }
 
-/** Save the result store and print its statistics. */
+/** Print the result store's statistics. */
 void
-saveStore(const std::shared_ptr<exec::ResultStore> &store,
-          const std::string &cache_path)
+printStoreStats(const std::shared_ptr<exec::ResultStore> &store,
+                const std::string &cache_path)
 {
     if (!store)
         return;
     exec::ResultStore::Stats stats = store->stats();
-    Status saved = store->saveCsv(cache_path);
-    if (!saved.ok())
-        warn("could not save result store to ", cache_path, ": ",
-             saved.toString());
     std::cout << "result store " << cache_path << ": "
               << store->size() << " entries (" << stats.hits
               << " hits, " << stats.misses << " misses, "
@@ -235,7 +232,7 @@ campaignMain(int argc, char **argv)
                 << "  --out FILE           dataset CSV destination "
                    "(default stdout)\n"
                    "  --cache PATH         result-store CSV "
-                   "(load/save)\n"
+                   "(reused, appended to)\n"
                    "  --cache-capacity N   in-memory LRU bound\n"
                    "  --quiet              no per-point progress on "
                    "stderr\n";
@@ -255,7 +252,12 @@ campaignMain(int argc, char **argv)
 
     auto store = std::make_shared<exec::ResultStore>(cache_capacity);
     if (!cache_path.empty()) {
-        std::size_t loaded = store->loadCsv(cache_path);
+        // The shared tier appends every result as it finishes, so
+        // nothing is saved at exit.
+        Status attached = store->attachSharedTier(cache_path);
+        if (!attached.ok())
+            fatal("--cache: ", attached.toString());
+        std::size_t loaded = store->size();
         if (loaded > 0 && !quiet)
             std::cerr << "loaded " << loaded
                       << " cached results from " << cache_path
@@ -276,7 +278,7 @@ campaignMain(int argc, char **argv)
         cancel);
 
     if (!cache_path.empty())
-        saveStore(store, cache_path);
+        printStoreStats(store, cache_path);
     for (const std::string &warning : outcome.warnings)
         std::cerr << "warning: " << warning << "\n";
 
@@ -839,7 +841,10 @@ main(int argc, char **argv)
     std::shared_ptr<exec::ResultStore> store;
     if (!cache_path.empty()) {
         store = std::make_shared<exec::ResultStore>(cache_capacity);
-        std::size_t loaded = store->loadCsv(cache_path);
+        Status attached = store->attachSharedTier(cache_path);
+        if (!attached.ok())
+            fatal("--cache: ", attached.toString());
+        std::size_t loaded = store->size();
         if (loaded > 0)
             std::cout << "loaded " << loaded << " cached results from "
                       << cache_path << "\n";
@@ -856,17 +861,17 @@ main(int argc, char **argv)
         std::cout << "\nwrote " << files << " artefact files to "
                   << out_dir << "/\n";
     } catch (const DeadlineError &e) {
-        saveStore(store, cache_path);
+        printStoreStats(store, cache_path);
         std::cerr << "gemstone_tool: deadline exceeded: " << e.what()
                   << "\n";
         return kExitDeadline;
     } catch (const CancelledError &e) {
-        saveStore(store, cache_path);
+        printStoreStats(store, cache_path);
         std::cerr << "gemstone_tool: interrupted: " << e.what()
                   << "\n";
         return kExitCancelled;
     }
 
-    saveStore(store, cache_path);
+    printStoreStats(store, cache_path);
     return 0;
 }

@@ -6,23 +6,11 @@
 #include "exec/resultstore.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <filesystem>
 
 #include "exec/sharedtier.hh"
-#include "util/csv.hh"
 #include "util/logging.hh"
-#include "util/strutil.hh"
 
 namespace gemstone::exec {
-
-namespace {
-
-/** CSV column contract of a persisted store. */
-const std::vector<std::string> kStoreColumns = {"key", "field",
-                                                "value"};
-
-} // namespace
 
 ResultStore::ResultStore(std::size_t capacity)
     : maxEntries(std::max<std::size_t>(capacity, 1))
@@ -155,90 +143,6 @@ ResultStore::clear()
     std::lock_guard<std::mutex> lock(storeMutex);
     entries.clear();
     lruOrder.clear();
-}
-
-std::size_t
-ResultStore::loadCsv(const std::string &path)
-{
-    if (!std::filesystem::exists(path))
-        return 0;
-    CsvReader reader = CsvReader::parseFile(path);
-    if (!reader.requireColumns(kStoreColumns)) {
-        warn("result store ", path, ": missing columns; not loaded");
-        return 0;
-    }
-    if (reader.hasTruncatedTail()) {
-        warnLimited("resultstore-torn", 3, "result store ", path,
-                    ": truncated final row dropped (torn write); ",
-                    "loading the rows before it");
-    } else if (!reader.sawIntegrityMarker()) {
-        warnLimited("resultstore-no-marker", 3, "result store ", path,
-                    ": no integrity marker; the file may be from an ",
-                    "interrupted save");
-    }
-
-    // Rows of one entry are contiguous (saveCsv writes them so);
-    // gather runs of equal keys into one payload each.
-    std::lock_guard<std::mutex> lock(storeMutex);
-    // Loading persisted work is not new work: keep the insertions
-    // counter meaningful as "results computed by this process".
-    const std::uint64_t insertions_before = counters.insertions;
-    std::size_t loaded = 0;
-    std::string current_key;
-    Fields current_fields;
-    bool current_bad = false;
-    auto flush = [&]() {
-        if (!current_key.empty() && !current_bad) {
-            insertLocked(current_key, std::move(current_fields));
-            ++loaded;
-        }
-        current_fields.clear();
-        current_bad = false;
-    };
-    for (std::size_t i = 0; i < reader.rowCount(); ++i) {
-        const std::string &key = reader.cell(i, "key");
-        if (key != current_key) {
-            flush();
-            current_key = key;
-        }
-        std::size_t errors_before = reader.errors().size();
-        double value = reader.numericCell(i, "value");
-        if (reader.errors().size() != errors_before) {
-            // A malformed value poisons only its own entry.
-            current_bad = true;
-            continue;
-        }
-        current_fields.emplace_back(reader.cell(i, "field"), value);
-    }
-    flush();
-    counters.insertions = insertions_before;
-    for (const std::string &error : reader.errorStrings())
-        warnLimited("resultstore-load", 3, "result store ", path,
-                    ": ", error);
-    return loaded;
-}
-
-Status
-ResultStore::saveCsv(const std::string &path) const
-{
-    // Hold the lock for the whole save: persistence is rare and the
-    // entry pointers must not be invalidated mid-walk.
-    std::lock_guard<std::mutex> lock(storeMutex);
-    std::vector<const Entry *> sorted;
-    sorted.reserve(entries.size());
-    for (const auto &[hash, entry] : entries)
-        sorted.push_back(&entry);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Entry *a, const Entry *b) {
-                  return a->key < b->key;
-              });
-
-    CsvWriter csv(kStoreColumns);
-    for (const Entry *entry : sorted) {
-        for (const auto &[name, value] : entry->fields)
-            csv.addRow({entry->key, name, formatExactDouble(value)});
-    }
-    return csv.writeFileAtomic(path);
 }
 
 Status

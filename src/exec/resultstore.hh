@@ -8,15 +8,17 @@
  * version, model, workload, frequency) for g5 — so their results can
  * be memoised under a content address: the FNV-1a hash of a
  * canonical key string naming every input. The store keeps a bounded
- * number of entries with LRU eviction, counts hits and misses, and
- * can persist itself to CSV so a later process (or another machine)
- * reuses finished work.
+ * number of entries with LRU eviction and counts hits and misses.
+ * Attached to a shared tier (exec/sharedtier.hh), it appends every
+ * result to a CSV file as it is computed, so a later process (or
+ * another machine) reuses finished work and a killed run loses
+ * nothing it published.
  *
  * Values are flat ordered lists of named doubles; the callers own
  * the encoding of their result structs (see gemstone/runner.cc).
- * Doubles survive the CSV round trip bit-exactly (17 significant
- * digits), which is what makes a warm-cache campaign byte-identical
- * to a cold one.
+ * Doubles survive the tier's CSV round trip bit-exactly (17
+ * significant digits), which is what makes a warm-cache campaign
+ * byte-identical to a cold one.
  *
  * Thread-safety contract: all public members are safe to call from
  * any thread; a single mutex serialises the table, the LRU list and
@@ -87,25 +89,6 @@ class ResultStore
     Stats stats() const;
     void resetStats();
     void clear();
-
-    /**
-     * Merge entries from a CSV previously written by saveCsv();
-     * returns the number of entries loaded. A missing file loads
-     * nothing; malformed rows are skipped with a warning. A file
-     * without the trailing integrity marker, or with a truncated
-     * final row (a torn write from an older or crashed process), is
-     * loaded up to its last good row with a warning — memoised
-     * results are an optimisation, so salvage beats refusal.
-     */
-    std::size_t loadCsv(const std::string &path);
-
-    /**
-     * Persist every resident entry, sorted by key so the file is
-     * deterministic. The write is atomic (tmp + fsync + rename) and
-     * ends with the integrity marker; a crash leaves the previous
-     * complete file, never a torn one.
-     */
-    Status saveCsv(const std::string &path) const;
 
     /**
      * Attach a shared persistent tier (exec/sharedtier.hh) at

@@ -20,9 +20,10 @@
  * Readers only ever observe the file at a lock boundary, and writers
  * only append complete row groups while holding the exclusive lock,
  * so every observed state is a valid CSV ending on an entry boundary.
- * The format is the same `key,field,value` layout ResultStore
- * persists with saveCsv(), so a tier file is also loadable as an
- * ordinary warm-cache CSV.
+ * This is the only persisted store format. The scan skips the
+ * header and '#' comment lines, so a cache file written whole in the
+ * older saved-at-exit layout (header, rows, integrity marker) opens
+ * as a tier too.
  *
  * flock locks belong to the open file description, so each process
  * opens the file itself: a descriptor a forked child inherited would

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Artefact byte-identity check: run the 13 paper fig/tab binaries plus
-# tab_fault_resilience, sha256sum each one's stdout, and compare the
-# list against the committed bench/golden/artefact_digests.txt. Any
-# mismatch (or a binary that fails) exits non-zero with a diff.
+# Artefact byte-identity check: render every paper artefact with one
+# `reproduce --out` run, sha256sum each NAME.txt, and compare the list
+# against the committed bench/golden/artefact_digests.txt. Then render
+# one cheap artefact to stdout and require the same bytes as its
+# --out file, so both output paths stay covered. Any mismatch (or a
+# failing run) exits non-zero with a diff.
 #
 # Stderr is not digested: it carries warnings and the timing-dependent
-# counts (e.g. tab_fault_resilience's "points cancelled"). One stdout
-# cell is machine-dependent: tab_fault_resilience's interrupt table
-# prints its pool size, max(4, cores), so the golden file holds the
-# value for machines with at most 4 cores (the CI runners).
+# counts (e.g. tab_fault_resilience's "points cancelled"). No stdout
+# cell depends on the machine: tab_fault_resilience's interrupt table
+# runs at a fixed job set, {1, 4}, on every host.
 #
 # Usage: tests/artefact_digests.sh [BUILD_DIR] [--update]
 #   --update rewrites the golden file from this build instead of
@@ -20,28 +21,26 @@ BUILD_DIR="$(cd "${1:-build}" && pwd)"
 MODE="${2:-check}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 GOLDEN="$ROOT/bench/golden/artefact_digests.txt"
+REPRODUCE="$BUILD_DIR/bench/reproduce"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-ARTEFACTS=(fig3_mpe_clusters fig4_mem_latency fig5_pmc_correlation
-           fig6_event_comparison fig7_power_energy fig8_dvfs_scaling
-           fig_exec_error fig_g5_event_correlation tab_ablation
-           tab_bp_fix tab_event_quality tab_power_model tab_regression
-           tab_fault_resilience)
-
 fail() { echo "artefact_digests: FAIL: $*" >&2; exit 1; }
 
-# Run from a scratch directory: some binaries leave checkpoint files
-# in the working directory while they run.
+[[ -x "$REPRODUCE" ]] || fail "build $REPRODUCE first"
+
+# Run from a scratch directory: tab_fault_resilience leaves a
+# checkpoint file in the working directory while it runs.
 cd "$WORK"
-for name in "${ARTEFACTS[@]}"; do
-    bin="$BUILD_DIR/bench/$name"
-    [[ -x "$bin" ]] || fail "build $bin first"
-    "$bin" >"$WORK/$name.out" 2>"$WORK/$name.err" ||
-        fail "$name exited non-zero; stderr tail:
-$(tail -5 "$WORK/$name.err")"
-    digest="$(sha256sum "$WORK/$name.out" | cut -d' ' -f1)"
-    echo "$digest  $name" | tee -a "$WORK/digests.txt"
+"$REPRODUCE" --out "$WORK/out" 2>"$WORK/reproduce.err" ||
+    fail "reproduce exited non-zero; stderr tail:
+$(tail -5 "$WORK/reproduce.err")"
+
+count=0
+for file in "$WORK"/out/*.txt; do
+    digest="$(sha256sum "$file" | cut -d' ' -f1)"
+    echo "$digest  $(basename "$file" .txt)" | tee -a "$WORK/digests.txt"
+    count=$((count + 1))
 done
 
 if [[ "$MODE" == "--update" ]]; then
@@ -52,6 +51,13 @@ if [[ "$MODE" == "--update" ]]; then
 fi
 
 [[ -f "$GOLDEN" ]] || fail "no golden file at $GOLDEN"
-diff -u "$GOLDEN" "$WORK/digests.txt" ||
+# Compare by name: the golden file's row order carries no meaning.
+diff -u <(sort -k2 "$GOLDEN") <(sort -k2 "$WORK/digests.txt") ||
     fail "stdout digests differ from $GOLDEN"
-echo "artefact_digests: PASS (${#ARTEFACTS[@]} artefacts byte-identical)"
+
+"$REPRODUCE" fig5_pmc_correlation >"$WORK/fig5.stdout" 2>/dev/null ||
+    fail "reproduce fig5_pmc_correlation exited non-zero"
+cmp "$WORK/fig5.stdout" "$WORK/out/fig5_pmc_correlation.txt" ||
+    fail "reproduce's stdout differs from its --out file"
+echo "artefact_digests: PASS ($count artefacts byte-identical;" \
+     "stdout matches --out)"

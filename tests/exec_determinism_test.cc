@@ -206,13 +206,17 @@ TEST(ExecDeterminism, StorePersistenceSurvivesProcessBoundary)
 {
     ScratchFile file("gs_exec_det_store.csv");
     auto store = std::make_shared<exec::ResultStore>();
+    ASSERT_TRUE(store->attachSharedTier(file.path).ok());
     CampaignResult cold = faultedCampaign(1, store);
-    ASSERT_TRUE(store->saveCsv(file.path).ok());
 
-    // A "new process": a fresh store loaded from disk must replay
-    // the campaign byte-identically with zero new insertions.
+    // A "new process", opened while the writer is still alive and
+    // with no save step: every result the writer published is
+    // already in the file, so a run killed here would lose nothing.
+    // The fresh store must replay the campaign byte-identically with
+    // zero new insertions.
     auto reloaded = std::make_shared<exec::ResultStore>();
-    ASSERT_GT(reloaded->loadCsv(file.path), 0u);
+    ASSERT_TRUE(reloaded->attachSharedTier(file.path).ok());
+    ASSERT_GT(reloaded->size(), 0u);
     CampaignResult replay = faultedCampaign(2, reloaded);
     expectIdentical(cold, replay, "reloaded store");
     EXPECT_EQ(reloaded->stats().insertions, 0u);

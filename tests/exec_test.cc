@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exec/resultstore.hh"
+#include "exec/sharedtier.hh"
 #include "exec/taskgraph.hh"
 #include "exec/threadpool.hh"
 
@@ -293,12 +294,16 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
                                   {"huge", 9.87654321e300},
                                   {"neg", -0.1}};
     ResultStore store(16);
+    ASSERT_TRUE(store.attachSharedTier(file.path).ok());
     store.insert("point|a", fields);
     store.insert("point|b", {{"v", 2.0000000000000004}});
-    ASSERT_TRUE(store.saveCsv(file.path).ok());
 
+    // Published as inserted: a second store reads both entries back
+    // with no save step in between.
     ResultStore restored(16);
-    EXPECT_EQ(restored.loadCsv(file.path), 2u);
+    ASSERT_TRUE(restored.attachSharedTier(file.path).ok());
+    EXPECT_EQ(restored.size(), 2u);
+    EXPECT_EQ(restored.sharedTier()->stats().absorbed, 2u);
     ResultStore::Fields out;
     ASSERT_TRUE(restored.lookup("point|a", out));
     ASSERT_EQ(out.size(), fields.size());
@@ -313,9 +318,19 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
 
 TEST(ResultStore, MissingFileLoadsNothing)
 {
+    // A missing file attaches as an empty tier, created on the spot.
+    ScratchFile file("gs_resultstore_missing_test.csv");
     ResultStore store(4);
-    EXPECT_EQ(store.loadCsv("/nonexistent/gs_store.csv"), 0u);
+    ASSERT_TRUE(store.attachSharedTier(file.path).ok());
     EXPECT_EQ(store.size(), 0u);
+    EXPECT_TRUE(std::filesystem::exists(file.path));
+
+    // One that cannot be created is an error, and loads nothing.
+    ResultStore orphan(4);
+    EXPECT_FALSE(orphan.attachSharedTier("/nonexistent/gs_store.csv")
+                     .ok());
+    EXPECT_FALSE(orphan.hasSharedTier());
+    EXPECT_EQ(orphan.size(), 0u);
 }
 
 TEST(ResultStore, ConcurrentMixedUseIsConsistent)

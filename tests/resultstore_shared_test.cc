@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared persistent result-store tier: publish/absorb exchange
- * between attached stores, loadCsv compatibility, and — the point of
+ * between attached stores, old store files opening as a tier, and —
+ * the point of
  * the flock discipline — multiple processes hammering one tier file
  * without ever producing a torn, interleaved or duplicated row.
  */
@@ -119,31 +120,46 @@ TEST(SharedTier, PublishDeduplicatesAcrossStores)
     const exec::SharedTierFile::Stats tier_b = b.sharedTier()->stats();
     EXPECT_EQ(tier_b.deduped, 1u);
 
-    // Exactly one group in the file: a fresh load sees one entry.
+    // Exactly one group in the file: a fresh attach absorbs one.
     ResultStore fresh;
-    EXPECT_EQ(fresh.loadCsv(file.path), 1u);
+    ASSERT_TRUE(fresh.attachSharedTier(file.path).ok());
+    EXPECT_EQ(fresh.sharedTier()->stats().absorbed, 1u);
 }
 
-TEST(SharedTier, TierFileLoadsAsPlainStoreCsv)
+TEST(SharedTier, OldStoreCsvAttachesAsTier)
 {
-    // The tier is deliberately loadCsv-compatible: a snapshot run
-    // pointed at the same --cache path must be able to read it.
+    // A cache file in the layout the store once saved whole at exit
+    // (header, key-grouped rows, integrity marker) still opens as a
+    // tier: it serves its entries bit-exactly and takes appends.
     ScratchFile file("gs_tier_compat.csv");
     {
-        ResultStore writer;
-        ASSERT_TRUE(writer.attachSharedTier(file.path).ok());
-        writer.insert("k|one", sampleFields(1.0));
-        writer.insert("k|two", sampleFields(2.0));
-        writer.insert("k|three", {{"lonely", -0.0}});
+        std::ofstream old(file.path);
+        old << "key,field,value\n"
+            << "k|one,exec_seconds,0.125\n"
+            << "k|one,power_watts,1.3333333333333333\n"
+            << "\"k,|three\",lonely,-0\n"
+            << "#gemstone:complete\n";
     }
 
-    ResultStore plain;
-    EXPECT_EQ(plain.loadCsv(file.path), 3u);
+    ResultStore store;
+    ASSERT_TRUE(store.attachSharedTier(file.path).ok());
+    EXPECT_EQ(store.sharedTier()->stats().absorbed, 2u);
     ResultStore::Fields out;
-    ASSERT_TRUE(plain.lookup("k|three", out));
+    ASSERT_TRUE(store.lookup("k|one", out));
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(bitEqual(out[1].second, 1.0 + 1.0 / 3.0));
+    ASSERT_TRUE(store.lookup("k,|three", out));
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].first, "lonely");
     EXPECT_TRUE(bitEqual(out[0].second, -0.0));
+
+    store.insert("k|two", sampleFields(2.0));
+    EXPECT_EQ(store.sharedTier()->stats().published, 1u);
+    ResultStore reader;
+    ASSERT_TRUE(reader.attachSharedTier(file.path).ok());
+    EXPECT_EQ(reader.sharedTier()->stats().absorbed, 3u);
+    ASSERT_TRUE(reader.lookup("k|two", out));
+    EXPECT_TRUE(bitEqual(out[2].second, 2.0 * 1e-3));
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -229,10 +245,11 @@ TEST(SharedTier, ConcurrentProcessesNeverTearOrDuplicateRows)
     for (const auto &[key, rows] : rows_per_key)
         EXPECT_EQ(rows, 3) << "partial group: " << key;
 
-    // ...and the whole file round-trips through the plain loader
-    // with bit-exact values.
+    // ...and the whole file round-trips through a fresh attach with
+    // bit-exact values.
     ResultStore verify;
-    ASSERT_EQ(verify.loadCsv(file.path),
+    ASSERT_TRUE(verify.attachSharedTier(file.path).ok());
+    ASSERT_EQ(verify.sharedTier()->stats().absorbed,
               std::size_t(kWriters * kKeysPerWriter + kSharedKeys));
     ResultStore::Fields out;
     ASSERT_TRUE(verify.lookup("w2|k7", out));

@@ -57,17 +57,19 @@ done
 echo "serve_smoke: 4 concurrent campaigns byte-identical to one-shot"
 
 # Repeat a request: the shared store must serve it without any new
-# insertions, and the bytes must not change.
+# insertions, and the bytes must not change. The counters are read
+# from the "store:" line only; the "predecode:" line counts hits too.
 insertions_before=$("$TOOL" ctl --socket "$SOCK" --timeout 10 stats |
-    sed -n 's/.* \([0-9]*\) insertions.*/\1/p')
+    sed -n 's/^store: .* \([0-9]*\) insertions.*/\1/p')
 "$TOOL" ctl --socket "$SOCK" submit "${SPEC_COMMON[@]}" --seed 1 \
     --out "$WORK/served_repeat.csv"
 cmp "$WORK/ref_1.csv" "$WORK/served_repeat.csv" ||
     fail "repeated request changed bytes"
 stats_after=$("$TOOL" ctl --socket "$SOCK" --timeout 10 stats)
-insertions_after=$(sed -n 's/.* \([0-9]*\) insertions.*/\1/p' \
+insertions_after=$(sed -n 's/^store: .* \([0-9]*\) insertions.*/\1/p' \
     <<<"$stats_after")
-hits_after=$(sed -n 's/.* \([0-9]*\) hits.*/\1/p' <<<"$stats_after")
+hits_after=$(sed -n 's/^store: .* \([0-9]*\) hits.*/\1/p' \
+    <<<"$stats_after")
 [[ "$insertions_after" == "$insertions_before" ]] ||
     fail "repeat inserted new entries ($insertions_before -> $insertions_after)"
 [[ "$hits_after" -gt 0 ]] || fail "repeat produced no store hits"
