@@ -66,16 +66,10 @@ class Artefacts
             runner().runPowerCharacterisation(cluster),
             cluster == hwsim::CpuCluster::LittleA7 ? "cortex-a7"
                                                    : "cortex-a15");
-        powmon::SelectionConfig selection;
-        selection.maxEvents = 7;
-        selection.requireG5Equivalent = true;
-        selection.jobs = jobs;
-        for (int id : powmon::EventSpecTable::knownBadForG5())
-            selection.excluded.insert(id);
-        selection.composites.push_back(
-            powmon::EventSpecTable::difference(0x1B, 0x73));
         powmon::PowerModel model = builder.build(
-            builder.selectEvents(selection).events, jobs);
+            builder.selectEvents(powmon::g5CompatibleSelection(7, jobs))
+                .events,
+            jobs);
         return models.emplace(cluster, std::move(model)).first->second;
     }
 

@@ -51,14 +51,9 @@ buildModel(core::ExperimentRunner &runner, hwsim::CpuCluster cluster,
 {
     powmon::PowerModelBuilder builder(
         runner.runPowerCharacterisation(cluster), name);
-    powmon::SelectionConfig config;
-    config.maxEvents = 6;
-    config.requireG5Equivalent = true;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        config.excluded.insert(id);
-    config.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    return builder.build(builder.selectEvents(config).events);
+    return builder.build(
+        builder.selectEvents(powmon::g5CompatibleSelection(6, 1))
+            .events);
 }
 
 } // namespace

@@ -92,7 +92,10 @@ usage()
         "                               gemstoned daemon\n";
 }
 
-/** Print the result store's statistics. */
+/**
+ * Print the result store's statistics to stderr, so stdout stays the
+ * report or dataset alone.
+ */
 void
 printStoreStats(const std::shared_ptr<exec::ResultStore> &store,
                 const std::string &cache_path)
@@ -100,7 +103,7 @@ printStoreStats(const std::shared_ptr<exec::ResultStore> &store,
     if (!store)
         return;
     exec::ResultStore::Stats stats = store->stats();
-    std::cout << "result store " << cache_path << ": "
+    std::cerr << "result store " << cache_path << ": "
               << store->size() << " entries (" << stats.hits
               << " hits, " << stats.misses << " misses, "
               << stats.insertions << " new, " << stats.evictions
@@ -846,7 +849,7 @@ main(int argc, char **argv)
             fatal("--cache: ", attached.toString());
         std::size_t loaded = store->size();
         if (loaded > 0)
-            std::cout << "loaded " << loaded << " cached results from "
+            std::cerr << "loaded " << loaded << " cached results from "
                       << cache_path << "\n";
         runner.attachResultStore(store);
     }

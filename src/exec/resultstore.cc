@@ -6,6 +6,7 @@
 #include "exec/resultstore.hh"
 
 #include <algorithm>
+#include <set>
 
 #include "exec/sharedtier.hh"
 #include "util/logging.hh"
@@ -30,8 +31,19 @@ ResultStore::fnv1a(const std::string &text)
     return hash;
 }
 
+const ResultStore::FieldNames *
+ResultStore::intern(FieldNames names)
+{
+    // A set's nodes never move, so the returned pointer stays valid
+    // for the life of the process.
+    static std::mutex internMutex;
+    static std::set<FieldNames> interned;
+    std::lock_guard<std::mutex> lock(internMutex);
+    return &*interned.insert(std::move(names)).first;
+}
+
 bool
-ResultStore::lookup(const std::string &key, Fields &out)
+ResultStore::lookup(const std::string &key, Record &out)
 {
     std::uint64_t hash = fnv1a(key);
     std::lock_guard<std::mutex> lock(storeMutex);
@@ -39,8 +51,8 @@ ResultStore::lookup(const std::string &key, Fields &out)
     if (it == entries.end() && tier != nullptr && tier->maybeGrown()) {
         // Miss in the memory tier: absorb whatever other processes
         // have published, then look again.
-        tier->refresh([this](const std::string &k, Fields f) {
-            absorbLocked(k, std::move(f));
+        tier->refresh([this](const std::string &k, Record r) {
+            absorbLocked(k, std::move(r));
         });
         it = entries.find(hash);
         if (it != entries.end() && it->second.key == key)
@@ -61,12 +73,13 @@ ResultStore::lookup(const std::string &key, Fields &out)
     ++counters.hits;
     lruOrder.splice(lruOrder.begin(), lruOrder,
                     it->second.lruPosition);
-    out = it->second.fields;
+    out.names = it->second.record.names;
+    out.values = it->second.record.values;
     return true;
 }
 
 void
-ResultStore::insertLocked(const std::string &key, Fields fields)
+ResultStore::insertLocked(const std::string &key, Record record)
 {
     std::uint64_t hash = fnv1a(key);
     auto it = entries.find(hash);
@@ -76,7 +89,7 @@ ResultStore::insertLocked(const std::string &key, Fields fields)
             ++counters.collisions;
             it->second.key = key;
         }
-        it->second.fields = std::move(fields);
+        it->second.record = std::move(record);
         lruOrder.splice(lruOrder.begin(), lruOrder,
                         it->second.lruPosition);
         return;
@@ -88,32 +101,36 @@ ResultStore::insertLocked(const std::string &key, Fields fields)
     }
     lruOrder.push_front(hash);
     entries.emplace(hash,
-                    Entry{key, std::move(fields), lruOrder.begin()});
+                    Entry{key, std::move(record), lruOrder.begin()});
     ++counters.insertions;
 }
 
 void
-ResultStore::absorbLocked(const std::string &key, Fields fields)
+ResultStore::absorbLocked(const std::string &key, Record record)
 {
     // Absorbed entries are other processes' finished work, not ours:
     // keep the insertions counter meaning "results computed by this
     // process".
     const std::uint64_t insertions_before = counters.insertions;
-    insertLocked(key, std::move(fields));
+    insertLocked(key, std::move(record));
     counters.insertions = insertions_before;
 }
 
 void
-ResultStore::insert(const std::string &key, Fields fields)
+ResultStore::insert(const std::string &key, Record record)
 {
+    panic_if(record.names == nullptr ||
+                 record.names->size() != record.values.size(),
+             "result-store record for ", key,
+             " does not match its name list");
     std::lock_guard<std::mutex> lock(storeMutex);
     if (tier != nullptr) {
-        tier->publish(key, fields,
-                      [this](const std::string &k, Fields f) {
-                          absorbLocked(k, std::move(f));
+        tier->publish(key, record,
+                      [this](const std::string &k, Record r) {
+                          absorbLocked(k, std::move(r));
                       });
     }
-    insertLocked(key, std::move(fields));
+    insertLocked(key, std::move(record));
 }
 
 std::size_t
@@ -154,8 +171,8 @@ ResultStore::attachSharedTier(const std::string &path)
     std::lock_guard<std::mutex> lock(storeMutex);
     tier = opened.takeValue();
     // Start warm: absorb everything already in the file.
-    tier->refresh([this](const std::string &k, Fields f) {
-        absorbLocked(k, std::move(f));
+    tier->refresh([this](const std::string &k, Record r) {
+        absorbLocked(k, std::move(r));
     });
     return Status::okStatus();
 }

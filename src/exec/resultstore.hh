@@ -14,11 +14,14 @@
  * another machine) reuses finished work and a killed run loses
  * nothing it published.
  *
- * Values are flat ordered lists of named doubles; the callers own
- * the encoding of their result structs (see gemstone/runner.cc).
- * Doubles survive the tier's CSV round trip bit-exactly (17
- * significant digits), which is what makes a warm-cache campaign
- * byte-identical to a cold one.
+ * A value is a Record: a dense vector of doubles plus a pointer to
+ * its field-name list. Name lists are interned by content once per
+ * process, so the thousands of records of one layout share one list,
+ * a hit copies doubles rather than names, and a decoder recognises a
+ * layout by pointer. The callers own the encoding of their result
+ * structs (see gemstone/runner.cc). Doubles survive the tier's CSV
+ * round trip bit-exactly (17 significant digits), which is what makes
+ * a warm-cache campaign byte-identical to a cold one.
  *
  * Thread-safety contract: all public members are safe to call from
  * any thread; a single mutex serialises the table, the LRU list and
@@ -34,7 +37,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "util/status.hh"
@@ -46,8 +48,25 @@ class SharedTierFile;
 class ResultStore
 {
   public:
-    /** Ordered (name, value) payload of one memoised result. */
-    using Fields = std::vector<std::pair<std::string, double>>;
+    /** The field names of one record layout, in value order. */
+    using FieldNames = std::vector<std::string>;
+
+    /**
+     * One memoised result: values[i] is the field named
+     * (*names)[i]. names is always an intern()ed list.
+     */
+    struct Record
+    {
+        const FieldNames *names = nullptr;
+        std::vector<double> values;
+    };
+
+    /**
+     * The process-wide copy of a name list, equal by content to
+     * @p names. Interned lists live until the process exits, so the
+     * pointer is a stable layout identity. Thread-safe.
+     */
+    static const FieldNames *intern(FieldNames names);
 
     /** Hit/miss accounting. */
     struct Stats
@@ -72,17 +91,21 @@ class ResultStore
 
     /**
      * Look up a key; on a hit the entry becomes most-recently-used
-     * and @p out receives the payload. Counts a hit or miss either
-     * way. A hash collision with a different resident key counts as
-     * a miss (and a collision). With a shared tier attached, a miss
+     * and @p out receives the record (its values are copied, its
+     * name list is shared). Counts a hit or miss either way. A hash
+     * collision with a different resident key counts as a miss (and
+     * a collision). With a shared tier attached, a miss
      * falls through to the tier: entries other processes published
      * since the last look are absorbed, and a key found that way
      * counts as a hit (and a sharedHit).
      */
-    bool lookup(const std::string &key, Fields &out);
+    bool lookup(const std::string &key, Record &out);
 
-    /** Insert (or overwrite) a key, evicting LRU entries as needed. */
-    void insert(const std::string &key, Fields fields);
+    /**
+     * Insert (or overwrite) a key, evicting LRU entries as needed.
+     * @p record.names must be intern()ed and as long as its values.
+     */
+    void insert(const std::string &key, Record record);
 
     std::size_t size() const;
     std::size_t capacity() const { return maxEntries; }
@@ -109,14 +132,14 @@ class ResultStore
     struct Entry
     {
         std::string key;
-        Fields fields;
+        Record record;
         std::list<std::uint64_t>::iterator lruPosition;
     };
 
-    void insertLocked(const std::string &key, Fields fields);
+    void insertLocked(const std::string &key, Record record);
 
     /** Tier-absorb sink: insert without counting. */
-    void absorbLocked(const std::string &key, Fields fields);
+    void absorbLocked(const std::string &key, Record record);
 
     mutable std::mutex storeMutex;
     std::size_t maxEntries;

@@ -26,7 +26,6 @@
 #include <fcntl.h>
 #include <utility>
 
-#include "exec/resultstore.hh"
 #include "exec/wireproto.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
@@ -211,17 +210,21 @@ SharedTierFile::absorbNewLocked(const Sink &sink)
     consumed += static_cast<std::int64_t>(usable);
 
     std::string current_key;
-    Fields current_fields;
+    ResultStore::FieldNames current_names;
+    std::vector<double> current_values;
     bool current_bad = false;
     auto flush = [&]() {
         if (!current_key.empty()) {
             knownKeys.insert(ResultStore::fnv1a(current_key));
             if (!current_bad && sink) {
-                sink(current_key, std::move(current_fields));
+                sink(current_key,
+                     {ResultStore::intern(std::move(current_names)),
+                      std::move(current_values)});
                 ++tierStats.absorbed;
             }
         }
-        current_fields.clear();
+        current_names.clear();
+        current_values.clear();
         current_bad = false;
     };
 
@@ -255,7 +258,8 @@ SharedTierFile::absorbNewLocked(const Sink &sink)
             current_bad = true;
             continue;
         }
-        current_fields.emplace_back(std::move(cells[1]), value);
+        current_names.push_back(std::move(cells[1]));
+        current_values.push_back(value);
     }
     flush();
 }
@@ -272,7 +276,8 @@ SharedTierFile::refresh(const Sink &sink)
 }
 
 bool
-SharedTierFile::publish(const std::string &key, const Fields &fields,
+SharedTierFile::publish(const std::string &key,
+                        const ResultStore::Record &record,
                         const Sink &sink)
 {
     bool locked = lock(true);
@@ -289,13 +294,14 @@ SharedTierFile::publish(const std::string &key, const Fields &fields,
 
     // Append the whole entry — every field row — as one write while
     // holding the exclusive lock, so readers never see a torn group.
+    const std::string quoted_key = CsvWriter::quote(key);
     std::string rows;
-    for (const auto &[name, value] : fields) {
-        rows += CsvWriter::quote(key);
+    for (std::size_t i = 0; i < record.values.size(); ++i) {
+        rows += quoted_key;
         rows += ',';
-        rows += CsvWriter::quote(name);
+        rows += CsvWriter::quote((*record.names)[i]);
         rows += ',';
-        rows += formatExactDouble(value);
+        rows += formatExactDouble(record.values[i]);
         rows += '\n';
     }
     off_t end = ::lseek(fd, 0, SEEK_END);

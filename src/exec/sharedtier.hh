@@ -38,8 +38,8 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
+#include "exec/resultstore.hh"
 #include "util/status.hh"
 
 namespace gemstone::exec {
@@ -47,12 +47,12 @@ namespace gemstone::exec {
 class SharedTierFile
 {
   public:
-    /** Ordered (name, value) payload — mirrors ResultStore::Fields. */
-    using Fields = std::vector<std::pair<std::string, double>>;
-
-    /** Receives entries absorbed from other processes. */
-    using Sink =
-        std::function<void(const std::string &key, Fields fields)>;
+    /**
+     * Receives entries absorbed from other processes; their name
+     * lists are interned (ResultStore::intern).
+     */
+    using Sink = std::function<void(const std::string &key,
+                                    ResultStore::Record record)>;
 
     struct Stats
     {
@@ -83,8 +83,8 @@ class SharedTierFile
      * Foreign rows discovered on the way are absorbed into @p sink
      * first. Returns true when the entry was appended.
      */
-    bool publish(const std::string &key, const Fields &fields,
-                 const Sink &sink);
+    bool publish(const std::string &key,
+                 const ResultStore::Record &record, const Sink &sink);
 
     /** Size-only hint that refresh() would find something new. */
     bool maybeGrown() const;

@@ -11,14 +11,13 @@
 namespace gemstone::g5 {
 
 double
-G5Stats::value(const std::string &name) const
+G5Stats::value(std::string_view name) const
 {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0.0 : it->second;
+    return valueAt(StatSchema::instance().indexOf(name));
 }
 
 double
-G5Stats::rate(const std::string &name) const
+G5Stats::rate(std::string_view name) const
 {
     return simSeconds > 0.0 ? value(name) / simSeconds : 0.0;
 }

@@ -23,6 +23,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "g5/config.hh"
 #include "g5/statmap.hh"
@@ -41,16 +43,22 @@ struct G5Stats
 
     /** Simulated execution time (what the paper compares to HW). */
     double simSeconds = 0.0;
-    /** Full gem5-style statistics dump. */
-    std::map<std::string, double> stats;
+    /** Full gem5-style statistics dump, in StatSchema order. */
+    std::vector<double> stats;
     /** Raw event record (used by the event-matching analyses). */
     uarch::EventCounts raw;
 
     /** Statistic by name; 0 when absent. */
-    double value(const std::string &name) const;
+    double value(std::string_view name) const;
+
+    /** Statistic by StatSchema index; 0 when absent. */
+    double valueAt(std::size_t index) const
+    {
+        return index < stats.size() ? stats[index] : 0.0;
+    }
 
     /** Statistic rate per simulated second. */
-    double rate(const std::string &name) const;
+    double rate(std::string_view name) const;
 
     /** Render as a stats.txt-style text block. */
     std::string statsText() const { return renderStatsText(stats); }

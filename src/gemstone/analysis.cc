@@ -242,18 +242,22 @@ correlateG5Events(const ValidationDataset &dataset, double freq_mhz,
             name.find("bw_") != std::string::npos;
     };
 
+    const g5::StatSchema &schema = g5::StatSchema::instance();
+    const std::vector<std::string> &stat_names = schema.names();
+    const std::size_t insts_stat =
+        schema.indexOf("system.cpu.committedInsts");
     std::vector<std::string> names;
     std::vector<std::vector<double>> series;
-    for (const auto &[name, value] : records.front()->g5.stats) {
-        (void)value;
+    for (std::size_t stat = 0;
+         stat < records.front()->g5.stats.size(); ++stat) {
+        const std::string &name = stat_names[stat];
         bool ratio = is_ratio_stat(name);
         std::vector<double> rates;
         rates.reserve(records.size());
         for (const ValidationRecord *r : records) {
-            double v = r->g5.value(name);
+            double v = r->g5.valueAt(stat);
             if (!ratio) {
-                double insts = std::max(
-                    1.0, r->g5.value("system.cpu.committedInsts"));
+                double insts = std::max(1.0, r->g5.valueAt(insts_stat));
                 v = v / insts * 1000.0;
             }
             rates.push_back(v);
@@ -330,15 +334,18 @@ regressErrorOnG5Stats(const ValidationDataset &dataset,
 {
     auto records = recordsAt(dataset, freq_mhz);
 
+    const std::vector<std::string> &stat_names =
+        g5::StatSchema::instance().names();
     std::vector<mlstat::Candidate> candidates;
-    for (const auto &[name, value] : records.front()->g5.stats) {
-        (void)value;
+    for (std::size_t stat = 0;
+         stat < records.front()->g5.stats.size(); ++stat) {
+        const std::string &name = stat_names[stat];
         mlstat::Candidate total;
         total.name = name;
         mlstat::Candidate rate;
         rate.name = name + " (rate)";
         for (const ValidationRecord *r : records) {
-            total.values.push_back(r->g5.value(name));
+            total.values.push_back(r->g5.valueAt(stat));
             rate.values.push_back(r->g5.rate(name));
         }
         candidates.push_back(std::move(total));

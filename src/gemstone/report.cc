@@ -30,14 +30,9 @@ buildClusterPowerModel(ExperimentRunner &runner,
         observations,
         cluster == hwsim::CpuCluster::LittleA7 ? "cortex-a7"
                                                : "cortex-a15");
-    powmon::SelectionConfig selection;
-    selection.maxEvents = 7;
-    selection.requireG5Equivalent = true;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        selection.excluded.insert(id);
-    selection.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    return builder.build(builder.selectEvents(selection).events);
+    return builder.build(
+        builder.selectEvents(powmon::g5CompatibleSelection(7, 1))
+            .events);
 }
 
 } // namespace

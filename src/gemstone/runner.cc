@@ -11,8 +11,13 @@
 
 #include "gemstone/runner.hh"
 
-#include <map>
+#include <algorithm>
+#include <charconv>
+#include <functional>
+#include <iterator>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "gemstone/pointgraph.hh"
 #include "util/logging.hh"
@@ -22,104 +27,189 @@ namespace gemstone::core {
 
 namespace {
 
+using exec::ResultStore;
+
+/** The hw record's leading scalar fields, in record order. */
+const char *const kHwScalars[] = {"voltage", "exec_seconds",
+                                  "power_watts", "temperature_c",
+                                  "throttled"};
+constexpr std::size_t kHwScalarCount = std::size(kHwScalars);
+
+/**
+ * Names of an hw record: the scalars, one repeat_<i> per timing
+ * observation, one pmc_<id> per captured PMC (PMC-loss faults drop
+ * some), then gt_<field> for the whole ground-truth event record.
+ */
+ResultStore::FieldNames
+hwRecordNames(std::size_t repeats, const std::vector<int> &pmc_ids)
+{
+    ResultStore::FieldNames names(std::begin(kHwScalars),
+                                  std::end(kHwScalars));
+    for (std::size_t i = 0; i < repeats; ++i)
+        names.push_back("repeat_" + std::to_string(i));
+    for (int id : pmc_ids)
+        names.push_back("pmc_" + std::to_string(id));
+    for (const char *field : uarch::EventCounts::fieldNames())
+        names.push_back(std::string("gt_") + field);
+    return names;
+}
+
+/** Where an hw record layout keeps its repeats and PMCs. */
+struct HwLayout
+{
+    /** False when the names are not a layout this build writes. */
+    bool valid = false;
+    std::size_t repeats = 0;
+    /** Ids of the pmc_ fields, ascending, after the repeats. */
+    std::vector<int> pmcIds;
+};
+
+HwLayout
+parseHwLayout(const ResultStore::FieldNames &names)
+{
+    HwLayout layout;
+    std::size_t i = kHwScalarCount;
+    while (i < names.size() &&
+           names[i] == "repeat_" + std::to_string(layout.repeats)) {
+        ++layout.repeats;
+        ++i;
+    }
+    for (; i < names.size() && names[i].rfind("pmc_", 0) == 0; ++i) {
+        int id = 0;
+        const char *begin = names[i].data() + 4;
+        const char *end = names[i].data() + names[i].size();
+        auto [stop, error] = std::from_chars(begin, end, id);
+        if (error != std::errc() || stop != end)
+            return layout;
+        layout.pmcIds.push_back(id);
+    }
+    // Valid only as this build writes it: ids strictly ascending (a
+    // std::map's order) and every name in place.
+    layout.valid =
+        std::adjacent_find(layout.pmcIds.begin(), layout.pmcIds.end(),
+                           std::greater_equal<int>()) ==
+            layout.pmcIds.end() &&
+        hwRecordNames(layout.repeats, layout.pmcIds) == names;
+    return layout;
+}
+
+/**
+ * The layout of an interned hw name list, parsed once per list.
+ * References stay valid: map nodes never move.
+ */
+const HwLayout &
+hwLayoutOf(const ResultStore::FieldNames *names)
+{
+    static std::mutex layoutsMutex;
+    static std::unordered_map<const ResultStore::FieldNames *, HwLayout>
+        layouts;
+    std::lock_guard<std::mutex> lock(layoutsMutex);
+    auto [it, fresh] = layouts.try_emplace(names);
+    if (fresh)
+        it->second = parseHwLayout(*names);
+    return it->second;
+}
+
 /**
  * Flatten a hardware measurement for the result store. The identity
- * fields (workload, cluster, frequency) live in the key; everything
- * else — scalars, per-repeat timings, PMC counts, the ground-truth
- * event record — is encoded as named doubles.
+ * fields (workload, cluster, frequency) live in the key.
  */
-exec::ResultStore::Fields
+ResultStore::Record
 encodeHwMeasurement(const hwsim::HwMeasurement &m)
 {
-    exec::ResultStore::Fields fields;
-    fields.emplace_back("voltage", m.voltage);
-    fields.emplace_back("exec_seconds", m.execSeconds);
-    fields.emplace_back("power_watts", m.powerWatts);
-    fields.emplace_back("temperature_c", m.temperatureC);
-    fields.emplace_back("throttled", m.throttled ? 1.0 : 0.0);
-    for (std::size_t i = 0; i < m.repeatSeconds.size(); ++i) {
-        fields.emplace_back("repeat_" + std::to_string(i),
-                            m.repeatSeconds[i]);
-    }
+    std::vector<int> pmc_ids;
     for (const auto &[id, count] : m.pmc)
-        fields.emplace_back("pmc_" + std::to_string(id), count);
-    for (const auto &[name, value] : m.groundTruth.toMap())
-        fields.emplace_back("gt_" + name, value);
-    return fields;
+        pmc_ids.push_back(id);
+    ResultStore::Record record;
+    record.names = ResultStore::intern(
+        hwRecordNames(m.repeatSeconds.size(), pmc_ids));
+    std::vector<double> &v = record.values;
+    v = {m.voltage, m.execSeconds, m.powerWatts, m.temperatureC,
+         m.throttled ? 1.0 : 0.0};
+    v.insert(v.end(), m.repeatSeconds.begin(), m.repeatSeconds.end());
+    for (const auto &[id, count] : m.pmc)
+        v.push_back(count);
+    v.resize(v.size() + uarch::EventCounts::kFieldCount);
+    m.groundTruth.writeFields(v.data() + v.size() -
+                              uarch::EventCounts::kFieldCount);
+    return record;
 }
 
 bool
-decodeHwMeasurement(const exec::ResultStore::Fields &fields,
+decodeHwMeasurement(const ResultStore::Record &record,
                     const std::string &workload,
                     hwsim::CpuCluster cluster, double freq_mhz,
                     hwsim::HwMeasurement &m)
 {
-    m = hwsim::HwMeasurement{};
+    const HwLayout &layout = hwLayoutOf(record.names);
+    if (!layout.valid)
+        return false;
+    const double *v = record.values.data();
     m.workload = workload;
     m.cluster = cluster;
     m.freqMhz = freq_mhz;
-    std::map<std::string, double> ground_truth;
-    for (const auto &[name, value] : fields) {
-        if (name == "voltage") {
-            m.voltage = value;
-        } else if (name == "exec_seconds") {
-            m.execSeconds = value;
-        } else if (name == "power_watts") {
-            m.powerWatts = value;
-        } else if (name == "temperature_c") {
-            m.temperatureC = value;
-        } else if (name == "throttled") {
-            m.throttled = value != 0.0;
-        } else if (name.rfind("repeat_", 0) == 0) {
-            // Encoded in index order; Fields preserves it.
-            m.repeatSeconds.push_back(value);
-        } else if (name.rfind("pmc_", 0) == 0) {
-            m.pmc[std::stoi(name.substr(4))] = value;
-        } else if (name.rfind("gt_", 0) == 0) {
-            ground_truth[name.substr(3)] = value;
-        } else {
-            return false;
-        }
-    }
-    m.groundTruth.fromMap(ground_truth);
+    m.voltage = v[0];
+    m.execSeconds = v[1];
+    m.powerWatts = v[2];
+    m.temperatureC = v[3];
+    m.throttled = v[4] != 0.0;
+    v += kHwScalarCount;
+    m.repeatSeconds.assign(v, v + layout.repeats);
+    v += layout.repeats;
+    for (int id : layout.pmcIds)
+        m.pmc.emplace_hint(m.pmc.end(), id, *v++);
+    m.groundTruth.readFields(v);
     return true;
 }
 
-exec::ResultStore::Fields
+/**
+ * The one g5 record layout: sim_seconds, stat:<name> for every
+ * StatSchema stat, raw:<field> for the whole raw event record.
+ */
+const ResultStore::FieldNames *
+g5RecordNames()
+{
+    static const ResultStore::FieldNames *const names = [] {
+        ResultStore::FieldNames list{"sim_seconds"};
+        for (const std::string &name : g5::StatSchema::instance().names())
+            list.push_back("stat:" + name);
+        for (const char *field : uarch::EventCounts::fieldNames())
+            list.push_back(std::string("raw:") + field);
+        return ResultStore::intern(std::move(list));
+    }();
+    return names;
+}
+
+ResultStore::Record
 encodeG5Stats(const g5::G5Stats &stats)
 {
-    exec::ResultStore::Fields fields;
-    fields.emplace_back("sim_seconds", stats.simSeconds);
-    for (const auto &[name, value] : stats.stats)
-        fields.emplace_back("stat:" + name, value);
-    for (const auto &[name, value] : stats.raw.toMap())
-        fields.emplace_back("raw:" + name, value);
-    return fields;
+    ResultStore::Record record;
+    record.names = g5RecordNames();
+    std::vector<double> &v = record.values;
+    v.reserve(record.names->size());
+    v.push_back(stats.simSeconds);
+    v.insert(v.end(), stats.stats.begin(), stats.stats.end());
+    v.resize(record.names->size());
+    stats.raw.writeFields(v.data() + v.size() -
+                          uarch::EventCounts::kFieldCount);
+    return record;
 }
 
 bool
-decodeG5Stats(const exec::ResultStore::Fields &fields,
+decodeG5Stats(const ResultStore::Record &record,
               const std::string &workload, g5::G5Model model,
               int version, double freq_mhz, g5::G5Stats &stats)
 {
-    stats = g5::G5Stats{};
+    if (record.names != g5RecordNames())
+        return false;
+    const double *v = record.values.data();
     stats.workload = workload;
     stats.model = model;
     stats.version = version;
     stats.freqMhz = freq_mhz;
-    std::map<std::string, double> raw;
-    for (const auto &[name, value] : fields) {
-        if (name == "sim_seconds") {
-            stats.simSeconds = value;
-        } else if (name.rfind("stat:", 0) == 0) {
-            stats.stats[name.substr(5)] = value;
-        } else if (name.rfind("raw:", 0) == 0) {
-            raw[name.substr(4)] = value;
-        } else {
-            return false;
-        }
-    }
-    stats.raw.fromMap(raw);
+    stats.simSeconds = v[0];
+    stats.stats.assign(v + 1, v + 1 + g5::StatSchema::instance().size());
+    stats.raw.readFields(v + 1 + stats.stats.size());
     return true;
 }
 
@@ -210,10 +300,10 @@ ExperimentRunner::measureHw(const workload::Workload &work,
                                      runnerConfig.repeats);
     }
     std::string key = hwKey(work, cluster, freq_mhz, attempt);
-    exec::ResultStore::Fields fields;
-    if (store->lookup(key, fields)) {
+    ResultStore::Record record;
+    if (store->lookup(key, record)) {
         hwsim::HwMeasurement m;
-        if (decodeHwMeasurement(fields, work.name, cluster, freq_mhz,
+        if (decodeHwMeasurement(record, work.name, cluster, freq_mhz,
                                 m)) {
             return m;
         }
@@ -238,10 +328,10 @@ ExperimentRunner::runG5(const workload::Workload &work,
     if (!store)
         return sim->run(work, model, freq_mhz);
     std::string key = g5Key(work, cluster, freq_mhz);
-    exec::ResultStore::Fields fields;
-    if (store->lookup(key, fields)) {
+    ResultStore::Record record;
+    if (store->lookup(key, record)) {
         g5::G5Stats stats;
-        if (decodeG5Stats(fields, work.name, model,
+        if (decodeG5Stats(record, work.name, model,
                           runnerConfig.g5Version, freq_mhz, stats)) {
             return stats;
         }

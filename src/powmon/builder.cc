@@ -39,6 +39,19 @@ rateColumn(const EventSpec &spec,
 
 } // namespace
 
+SelectionConfig
+g5CompatibleSelection(std::size_t max_events, unsigned jobs)
+{
+    SelectionConfig config;
+    config.maxEvents = max_events;
+    config.requireG5Equivalent = true;
+    config.jobs = jobs;
+    for (int id : EventSpecTable::knownBadForG5())
+        config.excluded.insert(id);
+    config.composites.push_back(EventSpecTable::difference(0x1B, 0x73));
+    return config;
+}
+
 SelectionResult
 PowerModelBuilder::selectEvents(const SelectionConfig &config) const
 {

@@ -44,6 +44,16 @@ struct SelectionConfig
     unsigned jobs = 1;
 };
 
+/**
+ * The Section V selection for models that must also run on g5 stats
+ * (Figs. 7-8): @p max_events events that have a g5 equivalent, the
+ * knownBadForG5() events excluded, and the 0x1B-0x73 composite (the
+ * speculative non-FP count, which sidesteps g5's FP misclassification)
+ * offered as a candidate.
+ */
+SelectionConfig g5CompatibleSelection(std::size_t max_events,
+                                      unsigned jobs);
+
 /** Outcome of a selection run. */
 struct SelectionResult
 {

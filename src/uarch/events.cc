@@ -6,6 +6,7 @@
 #include "uarch/events.hh"
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
 
 namespace gemstone::uarch {
@@ -93,80 +94,97 @@ EventCounts::merge(const EventCounts &other)
 }
 
 /**
- * Every scalar field of EventCounts, in the canonical (toMap) order.
- * toMap() and fromMap() are generated from this single list so the
- * two can never drift apart.
+ * Every scalar field of EventCounts, in lexicographic name order (the
+ * order of fieldNames()). fieldNames(), toMap(), writeFields() and
+ * readFields() are generated from this single list so they can never
+ * drift apart.
  */
 #define GS_EVENT_COUNT_FIELDS(X) \
-    X(cycles) \
-    X(seconds) \
-    X(instructions) \
-    X(instSpec) \
-    X(intAluOps) \
-    X(intMulOps) \
-    X(intDivOps) \
-    X(fpOps) \
-    X(simdOps) \
-    X(loadOps) \
-    X(storeOps) \
-    X(nopOps) \
-    X(unalignedAccesses) \
-    X(branches) \
-    X(condBranches) \
-    X(immedBranches) \
-    X(returnBranches) \
-    X(indirectBranches) \
-    X(callBranches) \
-    X(branchMispredicts) \
-    X(condIncorrect) \
-    X(predictedTaken) \
-    X(predictedTakenIncorrect) \
-    X(btbHits) \
-    X(usedRas) \
-    X(rasIncorrect) \
-    X(indirectMispredicts) \
-    X(wrongPathInsts) \
-    X(wrongPathLoads) \
-    X(ldrexOps) \
-    X(strexOps) \
-    X(strexFails) \
     X(barriers) \
-    X(isbs) \
-    X(l1iAccesses) \
-    X(l1iMisses) \
-    X(itlbAccesses) \
-    X(itlbMisses) \
-    X(l2ItlbAccesses) \
-    X(l2ItlbMisses) \
-    X(itlbWalks) \
-    X(l1dAccesses) \
-    X(l1dReadAccesses) \
-    X(l1dWriteAccesses) \
-    X(l1dMisses) \
-    X(l1dReadMisses) \
-    X(l1dWriteMisses) \
-    X(l1dWritebacks) \
-    X(l1dStreamingStores) \
+    X(branchMispredicts) \
+    X(branches) \
+    X(btbHits) \
+    X(busAccesses) \
+    X(callBranches) \
+    X(condBranches) \
+    X(condIncorrect) \
+    X(cycles) \
+    X(dramReads) \
+    X(dramStallNs) \
+    X(dramWrites) \
     X(dtlbAccesses) \
     X(dtlbMisses) \
+    X(dtlbWalks) \
+    X(fpOps) \
+    X(immedBranches) \
+    X(indirectBranches) \
+    X(indirectMispredicts) \
+    X(instSpec) \
+    X(instructions) \
+    X(intAluOps) \
+    X(intDivOps) \
+    X(intMulOps) \
+    X(isbs) \
+    X(itlbAccesses) \
+    X(itlbMisses) \
+    X(itlbWalks) \
+    X(l1dAccesses) \
+    X(l1dMisses) \
+    X(l1dReadAccesses) \
+    X(l1dReadMisses) \
+    X(l1dStreamingStores) \
+    X(l1dWriteAccesses) \
+    X(l1dWriteMisses) \
+    X(l1dWritebacks) \
+    X(l1iAccesses) \
+    X(l1iMisses) \
+    X(l2Accesses) \
     X(l2DtlbAccesses) \
     X(l2DtlbMisses) \
-    X(dtlbWalks) \
-    X(l2Accesses) \
+    X(l2ItlbAccesses) \
+    X(l2ItlbMisses) \
     X(l2Misses) \
-    X(l2Writebacks) \
-    X(l2Prefetches) \
     X(l2PrefetchHits) \
-    X(busAccesses) \
-    X(dramReads) \
-    X(dramWrites) \
+    X(l2Prefetches) \
+    X(l2Writebacks) \
+    X(ldrexOps) \
+    X(loadOps) \
+    X(nopOps) \
+    X(predictedTaken) \
+    X(predictedTakenIncorrect) \
+    X(rasIncorrect) \
+    X(returnBranches) \
+    X(seconds) \
+    X(simdOps) \
     X(snoops) \
-    X(dramStallNs) \
-    X(stallCyclesFrontend) \
     X(stallCyclesBranch) \
+    X(stallCyclesExec) \
+    X(stallCyclesFrontend) \
     X(stallCyclesMem) \
     X(stallCyclesSync) \
-    X(stallCyclesExec)
+    X(storeOps) \
+    X(strexFails) \
+    X(strexOps) \
+    X(unalignedAccesses) \
+    X(usedRas) \
+    X(wrongPathInsts) \
+    X(wrongPathLoads)
+
+#define X(field) +1
+static_assert(0 GS_EVENT_COUNT_FIELDS(X) == EventCounts::kFieldCount,
+              "kFieldCount must match the field list");
+#undef X
+
+const std::array<const char *, EventCounts::kFieldCount> &
+EventCounts::fieldNames()
+{
+    static const std::array<const char *, kFieldCount> names = {
+#define X(field) #field,
+        GS_EVENT_COUNT_FIELDS(X)
+#undef X
+    };
+    return names;
+}
 
 std::map<std::string, double>
 EventCounts::toMap() const
@@ -179,12 +197,18 @@ EventCounts::toMap() const
 }
 
 void
-EventCounts::fromMap(const std::map<std::string, double> &values)
+EventCounts::writeFields(double *out) const
+{
+#define X(field) *out++ = static_cast<double>(field);
+    GS_EVENT_COUNT_FIELDS(X)
+#undef X
+}
+
+void
+EventCounts::readFields(const double *in)
 {
 #define X(field)                                                          \
-    if (auto it = values.find(#field); it != values.end())                \
-        field = static_cast<                                              \
-            std::remove_reference_t<decltype(field)>>(it->second);
+    field = static_cast<std::remove_reference_t<decltype(field)>>(*in++);
     GS_EVENT_COUNT_FIELDS(X)
 #undef X
 }

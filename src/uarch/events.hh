@@ -11,6 +11,8 @@
 #ifndef GEMSTONE_UARCH_EVENTS_HH
 #define GEMSTONE_UARCH_EVENTS_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -122,13 +124,21 @@ struct EventCounts
     /** Flatten to a name->value map (raw totals). */
     std::map<std::string, double> toMap() const;
 
+    /** Number of scalar fields (the length of fieldNames()). */
+    static constexpr std::size_t kFieldCount = 69;
+
+    /** Every scalar field's name, in lexicographic order. */
+    static const std::array<const char *, kFieldCount> &fieldNames();
+
+    /** Write every field as a double, in fieldNames() order. */
+    void writeFields(double *out) const;
+
     /**
-     * Restore fields from a toMap()-style map (names absent from the
-     * map keep their current value). Inverse of toMap() for every
+     * Restore every field from writeFields() output. Exact for every
      * count below 2^53, which lets memoised run results round-trip
      * through the exec::ResultStore bit-exactly.
      */
-    void fromMap(const std::map<std::string, double> &values);
+    void readFields(const double *in);
 
     /** Instructions per cycle (0 when no cycles). */
     double ipc() const

@@ -39,6 +39,20 @@ struct ScratchFile
     ~ScratchFile() { std::filesystem::remove(path); }
 };
 
+/** A store record with interned names, from (name, value) pairs. */
+ResultStore::Record
+record(std::initializer_list<std::pair<const char *, double>> fields)
+{
+    ResultStore::FieldNames names;
+    ResultStore::Record out;
+    for (const auto &[name, value] : fields) {
+        names.emplace_back(name);
+        out.values.push_back(value);
+    }
+    out.names = ResultStore::intern(std::move(names));
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -251,14 +265,14 @@ TEST(ResultStore, Fnv1aMatchesReferenceVectors)
 TEST(ResultStore, HitAfterInsertMissBefore)
 {
     ResultStore store(8);
-    ResultStore::Fields out;
+    ResultStore::Record out;
     EXPECT_FALSE(store.lookup("k1", out));
-    store.insert("k1", {{"x", 1.5}, {"y", -2.0}});
+    store.insert("k1", record({{"x", 1.5}, {"y", -2.0}}));
     ASSERT_TRUE(store.lookup("k1", out));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].first, "x");
-    EXPECT_DOUBLE_EQ(out[0].second, 1.5);
-    EXPECT_EQ(out[1].first, "y");
+    ASSERT_EQ(out.values.size(), 2u);
+    EXPECT_EQ((*out.names)[0], "x");
+    EXPECT_DOUBLE_EQ(out.values[0], 1.5);
+    EXPECT_EQ((*out.names)[1], "y");
 
     ResultStore::Stats stats = store.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -269,12 +283,12 @@ TEST(ResultStore, HitAfterInsertMissBefore)
 TEST(ResultStore, LruEvictionDropsColdestEntry)
 {
     ResultStore store(2);
-    store.insert("a", {{"v", 1.0}});
-    store.insert("b", {{"v", 2.0}});
+    store.insert("a", record({{"v", 1.0}}));
+    store.insert("b", record({{"v", 2.0}}));
     // Touch "a" so "b" is the LRU victim.
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(store.lookup("a", out));
-    store.insert("c", {{"v", 3.0}});
+    store.insert("c", record({{"v", 3.0}}));
 
     EXPECT_EQ(store.size(), 2u);
     EXPECT_TRUE(store.lookup("a", out));
@@ -289,14 +303,14 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
 
     // Values chosen to break any lossy formatting: non-terminating
     // binary fractions, denormal-adjacent magnitudes, negatives.
-    ResultStore::Fields fields = {{"third", 1.0 / 3.0},
-                                  {"tiny", 1.2345678912345e-301},
-                                  {"huge", 9.87654321e300},
-                                  {"neg", -0.1}};
+    ResultStore::Record fields = record({{"third", 1.0 / 3.0},
+                                         {"tiny", 1.2345678912345e-301},
+                                         {"huge", 9.87654321e300},
+                                         {"neg", -0.1}});
     ResultStore store(16);
     ASSERT_TRUE(store.attachSharedTier(file.path).ok());
     store.insert("point|a", fields);
-    store.insert("point|b", {{"v", 2.0000000000000004}});
+    store.insert("point|b", record({{"v", 2.0000000000000004}}));
 
     // Published as inserted: a second store reads both entries back
     // with no save step in between.
@@ -304,16 +318,16 @@ TEST(ResultStore, CsvPersistenceRoundTripsBitExactly)
     ASSERT_TRUE(restored.attachSharedTier(file.path).ok());
     EXPECT_EQ(restored.size(), 2u);
     EXPECT_EQ(restored.sharedTier()->stats().absorbed, 2u);
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(restored.lookup("point|a", out));
-    ASSERT_EQ(out.size(), fields.size());
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-        EXPECT_EQ(out[i].first, fields[i].first);
+    ASSERT_EQ(out.values.size(), fields.values.size());
+    for (std::size_t i = 0; i < fields.values.size(); ++i) {
+        EXPECT_EQ((*out.names)[i], (*fields.names)[i]);
         // Bit-exact, not approximately equal.
-        EXPECT_EQ(out[i].second, fields[i].second);
+        EXPECT_EQ(out.values[i], fields.values[i]);
     }
     ASSERT_TRUE(restored.lookup("point|b", out));
-    EXPECT_EQ(out[0].second, 2.0000000000000004);
+    EXPECT_EQ(out.values[0], 2.0000000000000004);
 }
 
 TEST(ResultStore, MissingFileLoadsNothing)
@@ -340,14 +354,14 @@ TEST(ResultStore, ConcurrentMixedUseIsConsistent)
         ThreadPool pool(4);
         for (int t = 0; t < 8; ++t) {
             pool.post([&store, t] {
-                ResultStore::Fields out;
+                ResultStore::Record out;
                 for (int i = 0; i < 500; ++i) {
                     std::string key =
                         "k" + std::to_string(i % 64);
                     if (!store.lookup(key, out)) {
                         store.insert(
                             key,
-                            {{"v", static_cast<double>(i % 64)}});
+                            record({{"v", static_cast<double>(i % 64)}}));
                     }
                 }
                 (void)t;
@@ -355,10 +369,10 @@ TEST(ResultStore, ConcurrentMixedUseIsConsistent)
         }
     }
     // Every surviving entry must carry its own key's value.
-    ResultStore::Fields out;
+    ResultStore::Record out;
     for (int i = 0; i < 64; ++i) {
         std::string key = "k" + std::to_string(i);
         ASSERT_TRUE(store.lookup(key, out));
-        EXPECT_DOUBLE_EQ(out[0].second, static_cast<double>(i));
+        EXPECT_DOUBLE_EQ(out.values[0], static_cast<double>(i));
     }
 }

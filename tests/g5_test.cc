@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+
 #include "g5/config.hh"
 #include "g5/simulator.hh"
 #include "hwsim/platform.hh"
@@ -132,10 +136,47 @@ TEST_F(G5Run, DumpHasGem5StyleNames)
           "system.l2.ReadExReq_hits::total",
           "system.l2.overall_misses::total",
           "system.mem_ctrls.num_reads::total"}) {
-        EXPECT_TRUE(stats->stats.count(name)) << "missing " << name;
+        EXPECT_NE(StatSchema::instance().indexOf(name), StatSchema::npos)
+            << "missing " << name;
     }
     // The dump is rich, like a real gem5 stats.txt.
     EXPECT_GT(stats->stats.size(), 100u);
+}
+
+TEST_F(G5Run, DumpIsDenseInSchemaOrder)
+{
+    // One schema: every stat once, in the lexicographic order that
+    // stats.txt and the analyses walk, and every dump fills it whole.
+    const StatSchema &schema = StatSchema::instance();
+    EXPECT_EQ(schema.size(), 141u);
+    EXPECT_TRUE(std::is_sorted(schema.names().begin(),
+                               schema.names().end()));
+    ASSERT_EQ(stats->stats.size(), schema.size());
+    for (std::size_t i = 0; i < schema.size(); ++i) {
+        EXPECT_EQ(schema.indexOf(schema.names()[i]), i);
+        EXPECT_EQ(stats->value(schema.names()[i]), stats->stats[i]);
+    }
+    EXPECT_EQ(schema.indexOf("system.cpu"), StatSchema::npos);
+}
+
+TEST(EventCountsFields, WriteReadRoundTripsInNameOrder)
+{
+    const auto &names = uarch::EventCounts::fieldNames();
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end(),
+                               [](const char *a, const char *b) {
+                                   return std::string(a) < b;
+                               }));
+    uarch::EventCounts events;
+    events.cycles = 1234.5;
+    events.instructions = (std::uint64_t(1) << 53) - 1;
+    events.stallCyclesExec = 0.1;
+    std::array<double, uarch::EventCounts::kFieldCount> values{};
+    events.writeFields(values.data());
+    uarch::EventCounts back;
+    back.readFields(values.data());
+    EXPECT_EQ(back.cycles, events.cycles);
+    EXPECT_EQ(back.instructions, events.instructions);
+    EXPECT_EQ(back.stallCyclesExec, events.stallCyclesExec);
 }
 
 TEST_F(G5Run, FpMisclassifiedAsSimd)

@@ -316,15 +316,9 @@ TEST_F(GemstoneFlow, EnergyErrorExceedsPowerError)
     auto observations = runner->runPowerCharacterisation(
         hwsim::CpuCluster::BigA15);
     powmon::PowerModelBuilder builder(observations, "a15");
-    powmon::SelectionConfig sel;
-    sel.maxEvents = 6;
-    sel.requireG5Equivalent = true;
-    for (int id : powmon::EventSpecTable::knownBadForG5())
-        sel.excluded.insert(id);
-    sel.composites.push_back(
-        powmon::EventSpecTable::difference(0x1B, 0x73));
-    powmon::PowerModel model =
-        builder.build(builder.selectEvents(sel).events);
+    powmon::PowerModel model = builder.build(
+        builder.selectEvents(powmon::g5CompatibleSelection(6, 1))
+            .events);
 
     PowerEnergyEvaluation eval =
         evaluatePowerEnergy(*dataset, 1000.0, model, *clustering);

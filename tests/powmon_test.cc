@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "gemstone/runner.hh"
 #include "powmon/builder.hh"
 #include "powmon/eventspec.hh"
@@ -45,7 +47,9 @@ TEST(EventSpecTest, G5EquivalentExtraction)
     EventSpec cycles = EventSpecTable::forPmc(0x11);
     g5::G5Stats s;
     s.simSeconds = 0.5;
-    s.stats["system.cpu.numCycles"] = 4000.0;
+    const g5::StatSchema &schema = g5::StatSchema::instance();
+    s.stats.assign(schema.size(), 0.0);
+    s.stats[schema.indexOf("system.cpu.numCycles")] = 4000.0;
     EXPECT_DOUBLE_EQ(cycles.g5Count(s), 4000.0);
     EXPECT_DOUBLE_EQ(cycles.g5Rate(s), 8000.0);
 }
@@ -56,6 +60,18 @@ TEST(EventSpecTest, BrokenEquivalentsAreFlagged)
     const auto &bad = EventSpecTable::knownBadForG5();
     EXPECT_NE(std::find(bad.begin(), bad.end(), 0x15), bad.end());
     EXPECT_NE(std::find(bad.begin(), bad.end(), 0x75), bad.end());
+}
+
+TEST(EventSpecTest, G5CompatibleSelectionIsSectionV)
+{
+    SelectionConfig config = g5CompatibleSelection(7, 3);
+    EXPECT_EQ(config.maxEvents, 7u);
+    EXPECT_EQ(config.jobs, 3u);
+    EXPECT_TRUE(config.requireG5Equivalent);
+    const auto &bad = EventSpecTable::knownBadForG5();
+    EXPECT_EQ(config.excluded, std::set<int>(bad.begin(), bad.end()));
+    ASSERT_EQ(config.composites.size(), 1u);
+    EXPECT_EQ(config.composites[0].key, "0x1B-0x73");
 }
 
 TEST(EventSpecTest, KeyEventsHaveG5Equivalents)
@@ -88,14 +104,8 @@ class PowerModelFlow : public ::testing::Test
                 hwsim::CpuCluster::BigA15));
         builder = new PowerModelBuilder(*observations, "a15-test");
 
-        SelectionConfig sel;
-        sel.maxEvents = 6;
-        sel.requireG5Equivalent = true;
-        for (int id : EventSpecTable::knownBadForG5())
-            sel.excluded.insert(id);
-        sel.composites.push_back(
-            EventSpecTable::difference(0x1B, 0x73));
-        selection = new SelectionResult(builder->selectEvents(sel));
+        selection = new SelectionResult(
+            builder->selectEvents(g5CompatibleSelection(6, 1)));
         model = new PowerModel(builder->build(selection->events));
     }
     static void TearDownTestSuite()

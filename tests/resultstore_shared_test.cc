@@ -4,7 +4,10 @@
  * between attached stores, old store files opening as a tier, and —
  * the point of
  * the flock discipline — multiple processes hammering one tier file
- * without ever producing a torn, interleaved or duplicated row.
+ * without ever producing a torn, interleaved or duplicated row. Also
+ * the runner's typed store records: a committed tier file keeps its
+ * format, a warm hit's allocations are counted exactly, and a record
+ * this build does not write is recomputed rather than served.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,11 @@
 
 #include "exec/resultstore.hh"
 #include "exec/sharedtier.hh"
+#include "gemstone/runner.hh"
+#include "serve/service.hh"
+#include "util/arena.hh"
+#include "util/logging.hh"
+#include "workload/workload.hh"
 
 using namespace gemstone;
 using exec::ResultStore;
@@ -43,18 +51,44 @@ struct ScratchFile
     ~ScratchFile() { std::filesystem::remove(path); }
 };
 
-ResultStore::Fields
+ResultStore::Record
 sampleFields(double seed)
 {
-    return {{"exec_seconds", seed * 0.125},
-            {"power_watts", seed + 1.0 / 3.0},
-            {"energy_joules", seed * 1e-3}};
+    return {ResultStore::intern(
+                {"exec_seconds", "power_watts", "energy_joules"}),
+            {seed * 0.125, seed + 1.0 / 3.0, seed * 1e-3}};
 }
 
 bool
 bitEqual(double a, double b)
 {
     return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+/**
+ * A tier file recorded with `gemstone_tool campaign --cluster a7
+ * --max-points 4 --cache F`: 12 hw and 4 g5 records.
+ */
+const std::string kTierFixture =
+    std::string(GEMSTONE_TEST_DATA_DIR) + "/tier_a7_4points.csv";
+
+/** The campaign that wrote the fixture. */
+serve::CampaignSpec
+fixtureSpec()
+{
+    serve::CampaignSpec spec;
+    spec.cluster = hwsim::CpuCluster::LittleA7;
+    spec.maxPoints = 4;
+    return spec;
 }
 
 } // namespace
@@ -71,13 +105,13 @@ TEST(SharedTier, AttachAbsorbsPreexistingEntries)
 
     ResultStore reader;
     ASSERT_TRUE(reader.attachSharedTier(file.path).ok());
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(reader.lookup("hw|dhrystone|1000", out));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].first, "exec_seconds");
-    EXPECT_TRUE(bitEqual(out[0].second, 0.125));
+    ASSERT_EQ(out.values.size(), 3u);
+    EXPECT_EQ((*out.names)[0], "exec_seconds");
+    EXPECT_TRUE(bitEqual(out.values[0], 0.125));
     ASSERT_TRUE(reader.lookup("g5|whets|600", out));
-    EXPECT_TRUE(bitEqual(out[1].second, 2.0 + 1.0 / 3.0));
+    EXPECT_TRUE(bitEqual(out.values[1], 2.0 + 1.0 / 3.0));
     // Absorbed entries are found work, not computed work.
     EXPECT_EQ(reader.stats().insertions, 0u);
 }
@@ -93,12 +127,12 @@ TEST(SharedTier, LateArrivalsAbsorbOnMiss)
     // Published by a *after* b attached: b's in-memory tier is stale
     // until a miss sends it back to the file.
     a.insert("late|key", sampleFields(3.0));
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(b.lookup("late|key", out));
     EXPECT_EQ(b.stats().sharedHits, 1u);
     EXPECT_EQ(b.stats().hits, 1u);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(bitEqual(out[1].second, 3.0 + 1.0 / 3.0));
+    ASSERT_EQ(out.values.size(), 3u);
+    EXPECT_TRUE(bitEqual(out.values[1], 3.0 + 1.0 / 3.0));
 
     // A key nobody published is still a plain miss.
     EXPECT_FALSE(b.lookup("never|published", out));
@@ -144,14 +178,14 @@ TEST(SharedTier, OldStoreCsvAttachesAsTier)
     ResultStore store;
     ASSERT_TRUE(store.attachSharedTier(file.path).ok());
     EXPECT_EQ(store.sharedTier()->stats().absorbed, 2u);
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(store.lookup("k|one", out));
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(bitEqual(out[1].second, 1.0 + 1.0 / 3.0));
+    ASSERT_EQ(out.values.size(), 2u);
+    EXPECT_TRUE(bitEqual(out.values[1], 1.0 + 1.0 / 3.0));
     ASSERT_TRUE(store.lookup("k,|three", out));
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].first, "lonely");
-    EXPECT_TRUE(bitEqual(out[0].second, -0.0));
+    ASSERT_EQ(out.values.size(), 1u);
+    EXPECT_EQ((*out.names)[0], "lonely");
+    EXPECT_TRUE(bitEqual(out.values[0], -0.0));
 
     store.insert("k|two", sampleFields(2.0));
     EXPECT_EQ(store.sharedTier()->stats().published, 1u);
@@ -159,7 +193,7 @@ TEST(SharedTier, OldStoreCsvAttachesAsTier)
     ASSERT_TRUE(reader.attachSharedTier(file.path).ok());
     EXPECT_EQ(reader.sharedTier()->stats().absorbed, 3u);
     ASSERT_TRUE(reader.lookup("k|two", out));
-    EXPECT_TRUE(bitEqual(out[2].second, 2.0 * 1e-3));
+    EXPECT_TRUE(bitEqual(out.values[2], 2.0 * 1e-3));
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -251,12 +285,171 @@ TEST(SharedTier, ConcurrentProcessesNeverTearOrDuplicateRows)
     ASSERT_TRUE(verify.attachSharedTier(file.path).ok());
     ASSERT_EQ(verify.sharedTier()->stats().absorbed,
               std::size_t(kWriters * kKeysPerWriter + kSharedKeys));
-    ResultStore::Fields out;
+    ResultStore::Record out;
     ASSERT_TRUE(verify.lookup("w2|k7", out));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(bitEqual(out[0].second, (2 * 100.0 + 7) * 0.125));
+    ASSERT_EQ(out.values.size(), 3u);
+    EXPECT_TRUE(bitEqual(out.values[0], (2 * 100.0 + 7) * 0.125));
     ASSERT_TRUE(verify.lookup("common|k3", out));
-    EXPECT_TRUE(bitEqual(out[2].second, 3.0 * 1e-3));
+    EXPECT_TRUE(bitEqual(out.values[2], 3.0 * 1e-3));
 }
 
 #endif // unix
+
+// ---------------------------------------------------------------------
+// The runner's store records through a real tier file
+// ---------------------------------------------------------------------
+
+TEST(TierFormat, FixtureServesTheColdDatasetWithNoMisses)
+{
+    serve::CampaignOutcome cold =
+        serve::runCampaign(fixtureSpec(), nullptr, {}, {});
+    ASSERT_EQ(cold.outcome, serve::RequestOutcome::Ok) << cold.error;
+
+    ScratchFile file("gs_tier_fixture_copy.csv");
+    std::filesystem::copy_file(kTierFixture, file.path);
+    auto store = std::make_shared<ResultStore>();
+    ASSERT_TRUE(store->attachSharedTier(file.path).ok());
+    EXPECT_EQ(store->size(), 16u);
+    serve::CampaignOutcome warm =
+        serve::runCampaign(fixtureSpec(), store, {}, {});
+    ASSERT_EQ(warm.outcome, serve::RequestOutcome::Ok) << warm.error;
+    EXPECT_EQ(warm.datasetCsv, cold.datasetCsv);
+    EXPECT_EQ(store->stats().misses, 0u);
+    EXPECT_EQ(store->stats().hits, 16u);
+    EXPECT_EQ(store->stats().insertions, 0u);
+}
+
+TEST(TierFormat, EmptyTierIsWrittenByteIdenticalToFixture)
+{
+    ScratchFile file("gs_tier_fixture_fresh.csv");
+    auto store = std::make_shared<ResultStore>();
+    ASSERT_TRUE(store->attachSharedTier(file.path).ok());
+    serve::CampaignOutcome outcome =
+        serve::runCampaign(fixtureSpec(), store, {}, {});
+    ASSERT_EQ(outcome.outcome, serve::RequestOutcome::Ok)
+        << outcome.error;
+    const std::string written = readFile(file.path);
+    const std::string fixture = readFile(kTierFixture);
+    ASSERT_FALSE(fixture.empty()) << "missing " << kTierFixture;
+    EXPECT_TRUE(written == fixture)
+        << "tier file bytes moved (" << written.size() << " vs "
+        << fixture.size() << " bytes)";
+}
+
+TEST(StoreRecords, WarmHitAllocationCounts)
+{
+    if (!mallocTallyActive())
+        GTEST_SKIP() << "counting operator new not linked "
+                        "(sanitizer build)";
+
+    core::ExperimentRunner runner;
+    runner.attachResultStore(std::make_shared<ResultStore>());
+    const workload::Workload &work = workload::Suite::byName("mi-sha");
+    const auto cluster = hwsim::CpuCluster::LittleA7;
+    const hwsim::HwMeasurement cold_hw =
+        runner.measureHw(work, cluster, 1000.0, 0);
+    const g5::G5Stats cold_g5 = runner.runG5(work, cluster, 1000.0);
+    // One hit each first: the record layouts are parsed on first use.
+    (void)runner.measureHw(work, cluster, 1000.0, 0);
+    (void)runner.runG5(work, cluster, 1000.0);
+
+    MallocTallySnapshot before = mallocTally();
+    hwsim::HwMeasurement hw = runner.measureHw(work, cluster, 1000.0, 0);
+    MallocTallySnapshot between = mallocTally();
+    g5::G5Stats g5 = runner.runG5(work, cluster, 1000.0);
+    MallocTallySnapshot after = mallocTally();
+
+    // hw: building the key, the copied record, the repeats and one
+    // map node per PMC; g5: building the key, the copied record and
+    // the dump. No name string is copied on either hit.
+    constexpr std::uint64_t kHwFixedAllocs = 4;
+    constexpr std::uint64_t kG5HitAllocs = 4;
+    const std::uint64_t hw_allocs = between.allocs - before.allocs;
+    const std::uint64_t g5_allocs = after.allocs - between.allocs;
+    EXPECT_EQ(hw_allocs, hw.pmc.size() + kHwFixedAllocs);
+    EXPECT_LE(hw_allocs, hw.pmc.size() + 8);
+    EXPECT_EQ(g5_allocs, kG5HitAllocs);
+    EXPECT_LE(g5_allocs, 8u);
+
+    EXPECT_EQ(hw.execSeconds, cold_hw.execSeconds);
+    EXPECT_EQ(hw.repeatSeconds, cold_hw.repeatSeconds);
+    EXPECT_EQ(hw.pmc, cold_hw.pmc);
+    EXPECT_EQ(hw.groundTruth.toMap(), cold_hw.groundTruth.toMap());
+    EXPECT_EQ(g5.simSeconds, cold_g5.simSeconds);
+    EXPECT_EQ(g5.stats, cold_g5.stats);
+    EXPECT_EQ(g5.raw.toMap(), cold_g5.raw.toMap());
+}
+
+/** Copy the fixture to @p path without the row that starts @p row. */
+void
+writeFixtureWithout(const std::string &path, const std::string &row)
+{
+    std::ifstream in(kTierFixture);
+    std::ofstream out(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(row, 0) != 0)
+            out << line << "\n";
+    }
+}
+
+TEST(StoreRecords, RecordMissingAStatIsResimulated)
+{
+    // Drop one stat row from the fixture's first g5 record: the
+    // record no longer has the layout this build writes, so the
+    // runner warns and re-simulates instead of serving a 0.
+    const std::string dropped = "system.cpu.numCycles";
+    ScratchFile file("gs_tier_missing_stat.csv");
+    writeFixtureWithout(file.path, "g5|v1|ex5_LITTLE|mi-sha|200.000,stat:" +
+                                       dropped + ",");
+    core::ExperimentRunner runner;
+    auto store = std::make_shared<ResultStore>();
+    ASSERT_TRUE(store->attachSharedTier(file.path).ok());
+    runner.attachResultStore(store);
+
+    const std::uint64_t warnings_before =
+        limitedWarnCount("resultstore-decode");
+    g5::G5Stats served = runner.runG5(workload::Suite::byName("mi-sha"),
+                                      hwsim::CpuCluster::LittleA7, 200.0);
+    EXPECT_EQ(limitedWarnCount("resultstore-decode"),
+              warnings_before + 1);
+    g5::G5Simulation fresh(1);
+    g5::G5Stats simulated = fresh.run(workload::Suite::byName("mi-sha"),
+                                      g5::G5Model::Ex5Little, 200.0);
+    EXPECT_GT(served.value(dropped), 0.0);
+    EXPECT_EQ(served.stats, simulated.stats);
+
+    // The re-simulated record replaced the partial one.
+    g5::G5Stats again = runner.runG5(workload::Suite::byName("mi-sha"),
+                                     hwsim::CpuCluster::LittleA7, 200.0);
+    EXPECT_EQ(limitedWarnCount("resultstore-decode"),
+              warnings_before + 1);
+    EXPECT_EQ(again.stats, simulated.stats);
+    EXPECT_EQ(store->stats().hits, 2u);
+}
+
+TEST(StoreRecords, HwRecordMissingAFieldIsRemeasured)
+{
+    ScratchFile file("gs_tier_missing_gt.csv");
+    writeFixtureWithout(file.path,
+                        "hw|seed=868381|var=0.000000000|faults=off|"
+                        "repeats=5|mi-sha|a7|600.000|a0,gt_cycles,");
+    core::ExperimentRunner runner;
+    auto store = std::make_shared<ResultStore>();
+    ASSERT_TRUE(store->attachSharedTier(file.path).ok());
+    runner.attachResultStore(store);
+
+    const std::uint64_t warnings_before =
+        limitedWarnCount("resultstore-decode");
+    const workload::Workload &work = workload::Suite::byName("mi-sha");
+    hwsim::HwMeasurement served =
+        runner.measureHw(work, hwsim::CpuCluster::LittleA7, 600.0, 0);
+    EXPECT_EQ(limitedWarnCount("resultstore-decode"),
+              warnings_before + 1);
+    hwsim::HwMeasurement measured = runner.platform().measureAttempt(
+        work, hwsim::CpuCluster::LittleA7, 600.0, 0, 5);
+    EXPECT_GT(served.groundTruth.cycles, 0.0);
+    EXPECT_EQ(served.groundTruth.toMap(), measured.groundTruth.toMap());
+    EXPECT_EQ(served.pmc, measured.pmc);
+    EXPECT_EQ(served.execSeconds, measured.execSeconds);
+}

@@ -35,6 +35,20 @@ for seed in 1 2 3 4; do
         --out "$WORK/ref_$seed.csv"
 done
 
+# With --cache and no --out, stdout is the dataset alone: the store
+# statistics go to stderr. Once on an empty tier file (every result
+# published to it), once on the warm file (every result read back).
+for tier in cold warm; do
+    "$TOOL" campaign "${SPEC_COMMON[@]}" --seed 1 \
+        --cache "$WORK/tier.csv" >"$WORK/cached_$tier.csv" \
+        2>"$WORK/cached_$tier.err"
+    cmp "$WORK/ref_1.csv" "$WORK/cached_$tier.csv" ||
+        fail "--cache stdout on the $tier tier differs from --out"
+done
+grep -q " 0 misses" "$WORK/cached_warm.err" ||
+    fail "the warm tier did not serve every result"
+echo "serve_smoke: --cache stdout byte-identical on a cold and a warm tier"
+
 "$DAEMON" --socket "$SOCK" --max-active 4 >"$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
 for _ in $(seq 50); do [[ -S "$SOCK" ]] && break; sleep 0.1; done
